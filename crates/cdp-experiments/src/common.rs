@@ -122,8 +122,6 @@ pub struct CellFailure {
     pub label: String,
     /// Why it failed.
     pub error: String,
-    /// Attempts consumed.
-    pub attempts: u32,
 }
 
 /// Submits a labelled `(config, benchmark)` grid to the pool and returns
@@ -131,8 +129,8 @@ pub struct CellFailure {
 ///
 /// Every job gets the §2.2 warm-up convention and a shared workload
 /// image from `ws`; workloads are pre-built serially so job timing never
-/// depends on cache races. Jobs run under the process-wide retry/watchdog
-/// policy, and benchmarks targeted by a walk-fault directive get the
+/// depends on cache races. Jobs run under the process-wide cell watchdog,
+/// and benchmarks targeted by a walk-fault directive get the
 /// injection attached.
 ///
 /// In strict mode (the default) the first failing cell panics with its
@@ -217,7 +215,7 @@ pub fn run_grid_cells(
     let mut cells = Vec::new();
     let mut failures = Vec::new();
     for (index, report) in pool
-        .run_sims_profiled(jobs, context::policy())
+        .run_sims(jobs, context::cell_timeout())
         .into_iter()
         .enumerate()
     {
@@ -225,56 +223,39 @@ pub fn run_grid_cells(
             label,
             outcome,
             wall,
+            ..
         } = report;
         if collect {
+            let stats = match &outcome {
+                JobOutcome::Ok(stats) => Some(stats),
+                _ => None,
+            };
             context::obs_record_cell(CellRecord {
                 experiment: experiment.clone(),
                 label: label.clone(),
-                status: match &outcome {
-                    JobOutcome::Ok(_) => "ok",
-                    JobOutcome::Failed { .. } => "failed",
-                    JobOutcome::TimedOut { .. } => "timeout",
-                },
-                attempts: outcome.attempts(),
+                status: outcome.status(),
                 wall_ms: wall.as_millis() as u64,
                 config_fingerprint: fingerprints[index].clone(),
                 checkpoint: checkpoint_statuses[index]
                     .as_ref()
                     .map_or("off", |s| s.get().as_str()),
-                retired: match &outcome {
-                    JobOutcome::Ok(stats) => stats.retired,
-                    _ => 0,
-                },
-                pf_issued: match &outcome {
-                    JobOutcome::Ok(stats) => engines(stats).map(|e| e.issued).sum(),
-                    _ => 0,
-                },
-                pf_useful: match &outcome {
-                    JobOutcome::Ok(stats) => engines(stats).map(EngineCounters::useful).sum(),
-                    _ => 0,
-                },
-                pf_wasted: match &outcome {
-                    JobOutcome::Ok(stats) => engines(stats).map(|e| e.wasted_evictions).sum(),
-                    _ => 0,
-                },
+                retired: stats.map_or(0, |s| s.retired),
+                pf_issued: stats.map_or(0, |s| engines(s).map(|e| e.issued).sum()),
+                pf_useful: stats.map_or(0, |s| engines(s).map(EngineCounters::useful).sum()),
+                pf_wasted: stats.map_or(0, |s| engines(s).map(|e| e.wasted_evictions).sum()),
             });
         }
         match outcome {
             JobOutcome::Ok(stats) => cells.push(Some(stats)),
             other => {
-                let attempts = other.attempts();
                 let error = other
                     .failure()
                     .expect("non-Ok outcomes always describe their failure");
                 if !context::keep_going() {
                     panic!("cell {label}: {error}");
                 }
-                context::record_failure(&label, &error, attempts);
-                failures.push(CellFailure {
-                    label,
-                    error,
-                    attempts,
-                });
+                context::record_failure(&label, &error);
+                failures.push(CellFailure { label, error });
                 cells.push(None);
             }
         }
@@ -328,10 +309,7 @@ pub fn failure_note(failures: &[CellFailure]) -> String {
         failures.len()
     );
     for f in failures {
-        out.push_str(&format!(
-            "  {}: {} [{} attempt(s)]\n",
-            f.label, f.error, f.attempts
-        ));
+        out.push_str(&format!("  {}: {}\n", f.label, f.error));
     }
     out
 }

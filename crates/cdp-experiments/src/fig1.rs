@@ -6,7 +6,7 @@
 //! point where the cold-start transient has died out.
 
 use cdp_sim::Simulator;
-use cdp_types::SystemConfig;
+use cdp_types::{ObsConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{ExpScale, WorkloadSet};
@@ -71,11 +71,33 @@ pub fn run(scale: ExpScale) -> Figure1 {
     let window = (s.target_uops as u64 / 24).max(500);
     let mut cfg = SystemConfig::asplos2002();
     cfg.ul2.size_bytes = 4 * 1024 * 1024; // the paper's Figure 1 uses 4 MB
+
+    // No warm-up: the session's windows start at uop 0, so window `i`
+    // covers retired uops `[i * window, (i + 1) * window)`.
+    debug_assert_eq!(cfg.warmup_uops, 0);
+    let obs = ObsConfig {
+        metrics_window: Some(window),
+        ..ObsConfig::default()
+    };
     let mut series = Vec::new();
     let ws = WorkloadSet::default();
     for b in Benchmark::figure1_set() {
         let w = ws.get(b, s);
-        let samples = Simulator::new(cfg.clone()).run_mptu_trace(&w, window);
+        let sim = Simulator::new(cfg.clone());
+        let mut session = sim.session(&w, Some(&obs));
+        while !session
+            .step()
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name()))
+        {}
+        // Per-window misses over the nominal window width (Figure 1's
+        // non-cumulative MPTU); the last window may retire fewer uops.
+        let samples = session
+            .finish()
+            .1
+            .windows
+            .iter()
+            .map(|win| win.l2_demand_misses as f64 * 1000.0 / window as f64)
+            .collect();
         series.push(Series {
             name: b.name().to_string(),
             samples,

@@ -32,26 +32,21 @@ use crate::fault::WalkFault;
 use crate::hierarchy::PollutionConfig;
 use crate::observe::{ObsEntry, ObsSink, Observation};
 use crate::runner::build_workload;
-use crate::status::{status_sink, CellHeartbeat, ResultSource, SourceSlot, StatusSink};
-use crate::system::{RunStats, Simulator};
+use crate::status::{status_sink, CellHeartbeat, ResultSource};
+use crate::system::{RunStats, SimSession, Simulator};
 
-/// How a [`Pool::run_with_status`] job ended.
+/// How a pooled job ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobOutcome<T> {
     /// The job completed.
     Ok(T),
-    /// The job errored or panicked on every allowed attempt.
+    /// The job errored or panicked.
     Failed {
-        /// The last attempt's error (or panic message).
+        /// The error (or panic message).
         error: String,
-        /// How many attempts were made.
-        attempts: u32,
     },
-    /// The job exceeded the wall-clock watchdog. Timeouts are terminal:
-    /// a job that hangs once is not retried.
+    /// The job exceeded the wall-clock watchdog.
     TimedOut {
-        /// How many attempts were made (the last one timed out).
-        attempts: u32,
         /// The watchdog budget it exceeded.
         timeout: Duration,
     },
@@ -71,112 +66,39 @@ impl<T> JobOutcome<T> {
         matches!(self, JobOutcome::Ok(_))
     }
 
+    /// Stable status spelling for the status stream and the manifest:
+    /// `ok`, `failed`, or `timeout`.
+    pub fn status(&self) -> &'static str {
+        match self {
+            JobOutcome::Ok(_) => "ok",
+            JobOutcome::Failed { .. } => "failed",
+            JobOutcome::TimedOut { .. } => "timeout",
+        }
+    }
+
     /// A one-line human-readable failure description (`None` on success).
     pub fn failure(&self) -> Option<String> {
         match self {
             JobOutcome::Ok(_) => None,
-            JobOutcome::Failed { error, attempts } => {
-                Some(format!("failed after {attempts} attempt(s): {error}"))
-            }
-            JobOutcome::TimedOut { attempts, timeout } => Some(format!(
-                "timed out after {attempts} attempt(s) ({timeout:?} watchdog)"
-            )),
-        }
-    }
-
-    /// How many attempts the job consumed (1 for a first-try success).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            JobOutcome::Ok(_) => 1,
-            JobOutcome::Failed { attempts, .. } | JobOutcome::TimedOut { attempts, .. } => {
-                *attempts
-            }
+            JobOutcome::Failed { error } => Some(format!("failed: {error}")),
+            JobOutcome::TimedOut { timeout } => Some(format!("timed out ({timeout:?} watchdog)")),
         }
     }
 }
 
-/// One labelled, timed [`JobOutcome`] from [`Pool::run_sims_profiled`].
-///
-/// `wall` is the job's total wall-clock time across every attempt,
-/// including retry backoff — the per-cell cost a manifest reports.
+/// One labelled, timed [`JobOutcome`] from [`Pool::run_sims`].
 #[derive(Clone, Debug)]
 pub struct JobReport {
     /// The job's label, unchanged.
     pub label: String,
     /// How the job ended.
     pub outcome: JobOutcome<RunStats>,
-    /// Wall-clock time the job consumed (all attempts + backoff).
+    /// Wall-clock time the job consumed — the per-cell cost a manifest
+    /// reports.
     pub wall: Duration,
-}
-
-/// Retry / watchdog policy for [`Pool::run_with_status`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunPolicy {
-    /// Per-attempt wall-clock watchdog; `None` disables the watchdog
-    /// (jobs then run on the pool's own workers with no extra thread).
-    pub timeout: Option<Duration>,
-    /// Maximum attempts per job (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `min(backoff_base * 2^(n-1),
-    /// backoff_cap)`.
-    pub backoff_base: Duration,
-    /// Upper bound on the exponential backoff.
-    pub backoff_cap: Duration,
-    /// Seed for deterministic retry jitter (see
-    /// [`RunPolicy::backoff_jittered`]). The same seed always produces
-    /// the same jitter schedule, so runs stay reproducible.
-    pub jitter_seed: u64,
-}
-
-impl Default for RunPolicy {
-    /// One attempt, no watchdog: identical behavior to [`Pool::run`]
-    /// modulo the [`JobOutcome`] wrapper.
-    fn default() -> RunPolicy {
-        RunPolicy {
-            timeout: None,
-            max_attempts: 1,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(1),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RunPolicy {
-    /// The capped exponential backoff before retry attempt `retry`
-    /// (1-based: the wait before the second attempt is `backoff(1)`).
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.saturating_sub(1).min(20);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
-
-    /// [`RunPolicy::backoff`] with deterministic subtractive jitter.
-    ///
-    /// Tasks that fail together retry together: with the lockstep
-    /// schedule, every colliding retry at high `--jobs` re-lands on the
-    /// same instant, attempt after attempt. Jitter de-synchronizes them
-    /// by shortening each wait by up to 25%, mixed from `(jitter_seed,
-    /// salt, retry)` — no clock, no global RNG — so a given task index
-    /// always waits the same amount and results stay byte-identical
-    /// (backoff timing never affects submission-order output). Jitter
-    /// only ever *subtracts*, so `backoff()` remains the worst case and
-    /// the cap still holds.
-    pub fn backoff_jittered(&self, retry: u32, salt: u64) -> Duration {
-        let base = self.backoff(retry);
-        // splitmix64 finalizer over the three identity inputs.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(u64::from(retry));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        // Shave off [0, 25%) of the wait.
-        let shave = base.mul_f64((z % 1000) as f64 / 1000.0 * 0.25);
-        base - shave
-    }
+    /// How a successful result was obtained ([`ResultSource::Fresh`]
+    /// for failed and timed-out jobs).
+    pub source: ResultSource,
 }
 
 /// Renders a panic payload as a message string.
@@ -190,73 +112,42 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One result slot of [`Pool::run_with_status_timed`]'s scoped batch.
-type TimedSlot<T> = Mutex<Option<(JobOutcome<T>, Duration)>>;
-
-/// Drives one task through the retry/watchdog policy. `salt` is the
-/// task's identity (its submission index) for retry-jitter derivation.
-/// `status` (sink, label, index) receives a `retrying` heartbeat before
-/// each backed-off re-attempt.
-fn run_one_with_policy<T, F>(
-    task: Arc<F>,
-    policy: RunPolicy,
-    salt: u64,
-    status: Option<(&StatusSink, &str, usize)>,
-) -> JobOutcome<T>
+/// Runs one fallible task under the optional wall-clock watchdog,
+/// turning errors and panics into a [`JobOutcome`]. The simulator is
+/// deterministic, so a failed task is never retried: it would fail the
+/// same way again.
+fn run_watched<T, F>(task: F, timeout: Option<Duration>) -> JobOutcome<T>
 where
     T: Send + 'static,
-    F: Fn() -> Result<T, String> + Send + Sync + 'static,
+    F: FnOnce() -> Result<T, String> + Send + 'static,
 {
-    let started = Instant::now();
-    let max_attempts = policy.max_attempts.max(1);
-    let mut last_error = String::new();
-    for attempt in 1..=max_attempts {
-        if attempt > 1 {
-            if let Some((sink, label, index)) = status {
-                sink.retrying(label, index, attempt, started.elapsed().as_millis() as u64);
-            }
-            thread::sleep(policy.backoff_jittered(attempt - 1, salt));
-        }
-        match policy.timeout {
-            None => match catch_unwind(AssertUnwindSafe(|| task())) {
-                Ok(Ok(v)) => return JobOutcome::Ok(v),
-                Ok(Err(e)) => last_error = e,
-                Err(p) => last_error = panic_message(p),
-            },
-            Some(timeout) => {
-                // The attempt runs on a detached thread so a hung job can
-                // be abandoned (a scoped worker could never time out: the
-                // scope would wait for it). An abandoned attempt may
-                // outlive this call; it holds only its own task Arc.
-                let (tx, rx) = mpsc::channel();
-                let t = Arc::clone(&task);
-                thread::Builder::new()
-                    .name("cdp-pool-attempt".into())
-                    .spawn(move || {
-                        let result = match catch_unwind(AssertUnwindSafe(|| t())) {
-                            Ok(Ok(v)) => Ok(v),
-                            Ok(Err(e)) => Err(e),
-                            Err(p) => Err(panic_message(p)),
-                        };
-                        let _ = tx.send(result);
-                    })
-                    .expect("spawn watchdog attempt thread");
-                match rx.recv_timeout(timeout) {
-                    Ok(Ok(v)) => return JobOutcome::Ok(v),
-                    Ok(Err(e)) => last_error = e,
-                    Err(_) => {
-                        return JobOutcome::TimedOut {
-                            attempts: attempt,
-                            timeout,
-                        }
-                    }
-                }
+    let caught = |task: F| match catch_unwind(AssertUnwindSafe(task)) {
+        Ok(result) => result,
+        Err(p) => Err(panic_message(p)),
+    };
+    let result = match timeout {
+        None => caught(task),
+        Some(timeout) => {
+            // The task runs on a detached thread so a hung job can be
+            // abandoned (a scoped worker could never time out: the
+            // scope would wait for it). An abandoned task may outlive
+            // this call; it owns nothing but itself.
+            let (tx, rx) = mpsc::channel();
+            thread::Builder::new()
+                .name("cdp-pool-watchdog".into())
+                .spawn(move || {
+                    let _ = tx.send(caught(task));
+                })
+                .expect("spawn watchdog thread");
+            match rx.recv_timeout(timeout) {
+                Ok(result) => result,
+                Err(_) => return JobOutcome::TimedOut { timeout },
             }
         }
-    }
-    JobOutcome::Failed {
-        error: last_error,
-        attempts: max_attempts,
+    };
+    match result {
+        Ok(v) => JobOutcome::Ok(v),
+        Err(error) => JobOutcome::Failed { error },
     }
 }
 
@@ -365,174 +256,63 @@ impl Pool {
             .collect()
     }
 
-    /// Runs every fallible task under `policy` (watchdog timeout, bounded
-    /// retry with capped backoff) and reports a [`JobOutcome`] per task,
-    /// in submission order.
+    /// Runs a batch of simulations under an optional per-job wall-clock
+    /// watchdog and reports a labelled, timed [`JobReport`] per job, in
+    /// submission order.
     ///
     /// One failing, panicking, or hanging job never aborts the batch;
-    /// every other job still runs to its own outcome. Workers are scoped
-    /// and always joined; only a *timed-out attempt's* detached thread
-    /// can outlive the call (it owns nothing but its task).
-    pub fn run_with_status<T, F>(&self, tasks: Vec<F>, policy: RunPolicy) -> Vec<JobOutcome<T>>
-    where
-        T: Send + 'static,
-        F: Fn() -> Result<T, String> + Send + Sync + 'static,
-    {
-        self.run_with_status_timed(tasks, policy)
-            .into_iter()
-            .map(|(outcome, _)| outcome)
-            .collect()
-    }
-
-    /// As [`Pool::run_with_status`], additionally reporting each job's
-    /// wall-clock time (all attempts plus retry backoff) for profiling
-    /// and manifest emission.
-    pub fn run_with_status_timed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        policy: RunPolicy,
-    ) -> Vec<(JobOutcome<T>, Duration)>
-    where
-        T: Send + 'static,
-        F: Fn() -> Result<T, String> + Send + Sync + 'static,
-    {
-        self.run_with_status_observed(tasks, policy, None)
-    }
-
-    /// Core of [`Pool::run_with_status_timed`], optionally narrating the
-    /// batch's lifecycle into a [`StatusSink`] (`queued` / `running` /
-    /// `retrying` / `done` JSONL heartbeats). With `meta` `None` the
-    /// path is identical to before the stream existed.
-    fn run_with_status_observed<T, F>(
-        &self,
-        tasks: Vec<F>,
-        policy: RunPolicy,
-        meta: Option<BatchStatus>,
-    ) -> Vec<(JobOutcome<T>, Duration)>
-    where
-        T: Send + 'static,
-        F: Fn() -> Result<T, String> + Send + Sync + 'static,
-    {
-        let n = tasks.len();
-        let tasks: Vec<Arc<F>> = tasks.into_iter().map(Arc::new).collect();
-        let slots: Vec<TimedSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.jobs.min(n);
-        if let Some(m) = &meta {
-            m.sink.batch(n);
-            for (i, label) in m.labels.iter().enumerate() {
-                m.sink.queued(label, i);
+    /// every other job still runs to its own outcome. Any attached
+    /// [`JobObs`] observation is routed into its sink. When a
+    /// process-global [`StatusSink`](crate::status::StatusSink) is
+    /// installed, the batch also streams `batch` / `queued` / `running`
+    /// / `done` JSONL heartbeats with per-job result provenance.
+    pub fn run_sims(&self, jobs: Vec<SimJob>, timeout: Option<Duration>) -> Vec<JobReport> {
+        let sink = status_sink();
+        if let Some(sink) = &sink {
+            sink.batch(jobs.len());
+            for (i, job) in jobs.iter().enumerate() {
+                sink.queued(&job.label, i);
             }
         }
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if let Some(m) = &meta {
-                        m.sink.running(&m.labels[i], i);
-                    }
-                    let start = Instant::now();
-                    let status = meta
-                        .as_ref()
-                        .map(|m| (m.sink.as_ref(), m.labels[i].as_str(), i));
-                    let outcome =
-                        run_one_with_policy(Arc::clone(&tasks[i]), policy, i as u64, status);
-                    let wall = start.elapsed();
-                    if let Some(m) = &meta {
-                        let status = match &outcome {
-                            JobOutcome::Ok(_) => "ok",
-                            JobOutcome::Failed { .. } => "failed",
-                            JobOutcome::TimedOut { .. } => "timeout",
-                        };
-                        m.sink.done(
-                            &m.labels[i],
-                            i,
-                            status,
-                            wall.as_millis() as u64,
-                            m.sources[i].get(),
-                        );
-                    }
-                    *slots[i].lock().expect("slot never poisoned") = Some((outcome, wall));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot never poisoned")
-                    .expect("every index was claimed and stored")
-            })
-            .collect()
-    }
-
-    /// Runs a batch of simulations, returning per-job results in
-    /// submission order.
-    pub fn run_sims(&self, jobs: Vec<SimJob>) -> Vec<SimResult> {
-        self.run(jobs.into_iter().map(|j| move || j.execute_labelled()).collect())
-    }
-
-    /// Fault-tolerant variant of [`Pool::run_sims`]: every job reports a
-    /// labelled [`JobOutcome`] under `policy` instead of panicking the
-    /// batch on the first bad cell.
-    pub fn run_sims_with_status(
-        &self,
-        jobs: Vec<SimJob>,
-        policy: RunPolicy,
-    ) -> Vec<(String, JobOutcome<RunStats>)> {
-        self.run_sims_profiled(jobs, policy)
-            .into_iter()
-            .map(|r| (r.label, r.outcome))
-            .collect()
-    }
-
-    /// As [`Pool::run_sims_with_status`], additionally timing each job
-    /// ([`JobReport::wall`]) and routing any attached [`JobObs`]
-    /// observation into its sink. When a process-global
-    /// [`StatusSink`](crate::status::StatusSink) is installed, the batch
-    /// also streams JSONL heartbeats with per-job result provenance.
-    pub fn run_sims_profiled(&self, jobs: Vec<SimJob>, policy: RunPolicy) -> Vec<JobReport> {
-        let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-        let sources: Vec<Arc<SourceSlot>> = jobs.iter().map(|_| SourceSlot::shared()).collect();
         let tasks: Vec<_> = jobs
             .into_iter()
-            .zip(sources.iter().map(Arc::clone))
             .enumerate()
-            .map(|(i, (j, slot))| {
-                let j = j.with_status_index(i);
+            .map(|(i, job)| {
+                let sink = sink.clone();
                 move || {
-                    j.try_execute_sourced(Some(&slot))
-                        .map_err(|e| e.to_string())
+                    let label = job.label.clone();
+                    if let Some(sink) = &sink {
+                        sink.running(&label, i);
+                    }
+                    let job = job.with_status_index(i);
+                    let task = move || job.run_sourced().map_err(|e| e.to_string());
+                    let start = Instant::now();
+                    let watched = run_watched(task, timeout);
+                    let wall = start.elapsed();
+                    let (outcome, source) = match watched {
+                        JobOutcome::Ok((stats, source)) => (JobOutcome::Ok(stats), source),
+                        JobOutcome::Failed { error } => {
+                            (JobOutcome::Failed { error }, ResultSource::Fresh)
+                        }
+                        JobOutcome::TimedOut { timeout } => {
+                            (JobOutcome::TimedOut { timeout }, ResultSource::Fresh)
+                        }
+                    };
+                    if let Some(sink) = &sink {
+                        sink.done(&label, i, outcome.status(), wall.as_millis() as u64, source);
+                    }
+                    JobReport {
+                        label,
+                        outcome,
+                        wall,
+                        source,
+                    }
                 }
             })
             .collect();
-        let meta = status_sink().map(|sink| BatchStatus {
-            sink,
-            labels: labels.clone(),
-            sources,
-        });
-        labels
-            .into_iter()
-            .zip(self.run_with_status_observed(tasks, policy, meta))
-            .map(|(label, (outcome, wall))| JobReport {
-                label,
-                outcome,
-                wall,
-            })
-            .collect()
+        // Every task catches its own panics, so `run` never unwinds here.
+        self.run(tasks)
     }
-}
-
-/// Per-batch status-stream context for
-/// [`Pool::run_with_status_observed`]: the installed sink plus each
-/// job's label and provenance slot, indexed by submission order.
-struct BatchStatus {
-    sink: Arc<StatusSink>,
-    labels: Vec<String>,
-    sources: Vec<Arc<SourceSlot>>,
 }
 
 /// Observability attachment for a [`SimJob`]: which signals to collect
@@ -831,6 +611,22 @@ impl CheckpointSpec {
             .clone()
             .unwrap_or_else(|| Arc::new(cdp_store::RealIo))
     }
+
+    /// Publishes `bytes` as the cell's checkpoint. Best-effort, but never
+    /// silent: on failure the previous checkpoint stays valid, the drop
+    /// is counted, and the operator hears about the failing disk.
+    fn write(&self, bytes: &[u8]) {
+        let path = self.path();
+        if let Err(e) = write_atomic(self.io().as_ref(), &path, bytes) {
+            eprintln!(
+                "warning: checkpoint write dropped for {}: {e}",
+                path.display()
+            );
+            if let Some(status) = &self.status {
+                status.record_dropped_write();
+            }
+        }
+    }
 }
 
 /// Writes `bytes` to `path` atomically: a temp file in the same
@@ -852,7 +648,7 @@ fn write_atomic(io: &dyn cdp_store::StoreIo, path: &Path, bytes: &[u8]) -> std::
 /// One independent simulation: a configuration over a shared workload.
 #[derive(Clone, Debug)]
 pub struct SimJob {
-    /// Caller-chosen identifier carried through to the [`SimResult`]
+    /// Caller-chosen identifier carried through to the [`JobReport`]
     /// (sweep-point labels, benchmark names, ...).
     pub label: String,
     /// Full system configuration (including warm-up budget).
@@ -863,16 +659,15 @@ pub struct SimJob {
     pub pollution: Option<PollutionConfig>,
     /// Optional injected page-walk failures (fault studies).
     pub walk_fault: Option<WalkFault>,
-    /// Optional observability attachment; `None` keeps the run on the
-    /// plain [`Simulator::try_run`] path, byte-identical to a build
-    /// without tracing.
+    /// Optional observability attachment; `None` keeps the session
+    /// unobserved, byte-identical to a build without tracing.
     pub obs: Option<JobObs>,
     /// Optional result cache plus this job's precomputed key.
     pub result_cache: Option<(Arc<ResultCache>, u64)>,
     /// Optional periodic checkpointing / resume (see [`CheckpointSpec`]).
     pub checkpoint: Option<CheckpointSpec>,
     /// Batch submission index carried on in-cell `heartbeat` events (set
-    /// by [`Pool::run_sims_profiled`]; 0 for standalone execution).
+    /// by [`Pool::run_sims`]; 0 for standalone execution).
     pub status_index: usize,
 }
 
@@ -904,8 +699,8 @@ impl SimJob {
         self
     }
 
-    /// Attaches an observability sink: the run switches to
-    /// [`Simulator::try_run_observed`] and pushes its
+    /// Attaches an observability sink: the session records what
+    /// `obs.cfg` asks for and pushes its
     /// [`Observation`](crate::observe::Observation) into `obs.sink`.
     pub fn with_obs(mut self, obs: JobObs) -> SimJob {
         self.obs = Some(obs);
@@ -938,19 +733,6 @@ impl SimJob {
         Ok(sim)
     }
 
-    /// Runs the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration or an unrecoverable demand-path
-    /// fault; use [`SimJob::try_execute`] to handle both.
-    pub fn execute(&self) -> RunStats {
-        match self.try_execute() {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Runs the simulation, surfacing configuration and demand-path
     /// faults as typed errors.
     ///
@@ -959,115 +741,123 @@ impl SimJob {
     /// [`CdpError::Config`] for an invalid configuration, otherwise the
     /// first fault latched by the memory hierarchy.
     pub fn try_execute(&self) -> Result<RunStats, CdpError> {
-        self.try_execute_sourced(None)
+        self.run_sourced().map(|(stats, _)| stats)
     }
 
-    /// As [`SimJob::try_execute`], additionally reporting *how* the
-    /// result was obtained (fresh run, cache/store replay, checkpoint
-    /// resume) into `source` for the status stream. The slot is a
-    /// shared atomic because a watchdogged attempt may run on a
-    /// detached thread while the pool worker reads the slot.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimJob::try_execute`].
-    pub fn try_execute_sourced(&self, source: Option<&SourceSlot>) -> Result<RunStats, CdpError> {
-        let report = |s: ResultSource| {
-            if let Some(slot) = source {
-                slot.set(s);
-            }
-        };
-        // A cached result is usable when it can satisfy this job's full
-        // contract: plain jobs need only the stats; observed jobs also
-        // need a cached observation to replay into their sink.
-        if let Some((cache, key)) = &self.result_cache {
-            if let Some(((stats, cached_obs), tier)) = cache.get_with_source(*key) {
-                match (&self.obs, cached_obs) {
-                    (None, _) => {
-                        cache.hits.fetch_add(1, Ordering::Relaxed);
-                        report(tier);
-                        return Ok(stats);
-                    }
-                    (Some(o), Some(observation)) => {
-                        cache.hits.fetch_add(1, Ordering::Relaxed);
-                        report(tier);
-                        o.sink.push(ObsEntry {
-                            batch: o.batch,
-                            index: o.index,
-                            label: self.label.clone(),
-                            observation,
-                        });
-                        return Ok(stats);
-                    }
-                    // Cached entry lacks the observation this job needs:
-                    // fall through and re-simulate (the fresh entry below
-                    // upgrades the cache).
-                    (Some(_), None) => {}
-                }
-            }
-            cache.misses.fetch_add(1, Ordering::Relaxed);
+    /// [`SimJob::try_execute`], additionally reporting *how* the result
+    /// was obtained (fresh run, cache/store replay, checkpoint resume)
+    /// for the status stream.
+    fn run_sourced(&self) -> Result<(RunStats, ResultSource), CdpError> {
+        if let Some(replayed) = self.replay() {
+            return Ok(replayed);
         }
-        if let Some(spec) = &self.checkpoint {
-            let (stats, observation, provenance) = self.run_checkpointed(spec)?;
-            report(match provenance {
-                CheckpointProvenance::Fresh => ResultSource::Fresh,
-                CheckpointProvenance::Resumed => ResultSource::CheckpointResumed,
-                CheckpointProvenance::CorruptFallback => ResultSource::CorruptFallback,
-            });
-            match (&self.obs, observation) {
-                (Some(o), Some(observation)) => {
-                    if let Some((cache, key)) = &self.result_cache {
-                        cache.put(*key, stats, Some(observation.clone()));
-                    }
-                    o.sink.push(ObsEntry {
-                        batch: o.batch,
-                        index: o.index,
-                        label: self.label.clone(),
-                        observation,
-                    });
-                }
-                _ => {
-                    if let Some((cache, key)) = &self.result_cache {
-                        cache.put(*key, stats, None);
-                    }
-                }
-            }
-            return Ok(stats);
-        }
-        report(ResultSource::Fresh);
-        // The same windowed driving loop `Simulator::try_run` /
-        // `try_run_observed` are built on, surfaced here so the cell can
-        // emit throttled in-cell heartbeats between windows. Window
-        // boundaries change no simulated state, so stats are identical
-        // to the convenience wrappers.
         let sim = self.simulator()?;
         let obs_cfg = self.obs.as_ref().map(|o| &o.cfg);
-        let mut session = sim.session(&self.workload, obs_cfg);
+        let (mut session, provenance) = self.start_session(&sim, obs_cfg)?;
         let mut hb = self.heartbeat();
+        let mut last_checkpoint = session.cycles();
+        // One snapshot arena recycled across every checkpoint write.
+        let mut snap_buf = Vec::new();
         while !session.step()? {
             hb.tick(session.retired());
+            if let Some(spec) = &self.checkpoint {
+                if spec.every > 0 && session.cycles().saturating_sub(last_checkpoint) >= spec.every
+                {
+                    last_checkpoint = session.cycles();
+                    snap_buf = session.snapshot_into(snap_buf);
+                    spec.write(&snap_buf);
+                }
+            }
+        }
+        if let Some(spec) = &self.checkpoint {
+            // The cell finished: its checkpoint has served its purpose. A
+            // later sweep resume re-runs the (deterministic) cell instead.
+            let _ = spec.io().remove_file(&spec.path());
         }
         let (stats, observation) = session.finish();
-        match &self.obs {
-            None => {
-                if let Some((cache, key)) = &self.result_cache {
-                    cache.put(*key, stats, None);
+        let observation = self.obs.as_ref().map(|_| observation);
+        if let Some((cache, key)) = &self.result_cache {
+            cache.put(*key, stats, observation.clone());
+        }
+        if let Some(observation) = observation {
+            self.push_observation(observation);
+        }
+        let source = match provenance {
+            CheckpointProvenance::Fresh => ResultSource::Fresh,
+            CheckpointProvenance::Resumed => ResultSource::CheckpointResumed,
+            CheckpointProvenance::CorruptFallback => ResultSource::CorruptFallback,
+        };
+        Ok((stats, source))
+    }
+
+    /// Serves the job from its result cache, when the cached entry can
+    /// satisfy the job's full contract: plain jobs need only the stats;
+    /// observed jobs also need a cached observation to replay into their
+    /// sink (without one the job re-simulates, and the fresh entry
+    /// upgrades the cache). Counts the hit or miss.
+    fn replay(&self) -> Option<(RunStats, ResultSource)> {
+        let (cache, key) = self.result_cache.as_ref()?;
+        if let Some(((stats, cached_obs), tier)) = cache.get_with_source(*key) {
+            if self.obs.is_none() || cached_obs.is_some() {
+                cache.hits.fetch_add(1, Ordering::Relaxed);
+                if let Some(observation) = cached_obs {
+                    self.push_observation(observation);
                 }
-                Ok(stats)
-            }
-            Some(o) => {
-                if let Some((cache, key)) = &self.result_cache {
-                    cache.put(*key, stats, Some(observation.clone()));
-                }
-                o.sink.push(ObsEntry {
-                    batch: o.batch,
-                    index: o.index,
-                    label: self.label.clone(),
-                    observation,
-                });
-                Ok(stats)
+                return Some((stats, tier));
             }
         }
+        cache.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Pushes the job's observation into its attached sink (a no-op for
+    /// an unobserved job).
+    fn push_observation(&self, observation: Observation) {
+        if let Some(o) = &self.obs {
+            o.sink.push(ObsEntry {
+                batch: o.batch,
+                index: o.index,
+                label: self.label.clone(),
+                observation,
+            });
+        }
+    }
+
+    /// The session the cell starts from: resumed from its checkpoint
+    /// when asked and one decodes, otherwise fresh. A checkpoint that
+    /// fails to decode is never resumed from: the cell restarts fresh
+    /// ([`CheckpointProvenance::CorruptFallback`]) so the result is still
+    /// bit-identical to an uninterrupted run. The provenance is reported
+    /// into the spec's status slot.
+    fn start_session<'w>(
+        &'w self,
+        sim: &Simulator,
+        obs_cfg: Option<&ObsConfig>,
+    ) -> Result<(SimSession<'w>, CheckpointProvenance), CdpError> {
+        let mut provenance = CheckpointProvenance::Fresh;
+        let mut resumed = None;
+        if let Some(spec) = self.checkpoint.as_ref().filter(|s| s.resume) {
+            // An unreadable checkpoint file is treated as absent (fresh
+            // start); bytes that *read* but fail to decode are the
+            // corrupt-fallback case.
+            if let Ok(bytes) = spec.io().read(&spec.path()) {
+                match sim.resume(&self.workload, obs_cfg, &bytes) {
+                    Ok(s) => {
+                        provenance = CheckpointProvenance::Resumed;
+                        resumed = Some(s);
+                    }
+                    Err(CdpError::Snapshot(_)) => {
+                        provenance = CheckpointProvenance::CorruptFallback;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        if let Some(status) = self.checkpoint.as_ref().and_then(|s| s.status.as_ref()) {
+            status.set(provenance);
+        }
+        let session = resumed.unwrap_or_else(|| sim.session(&self.workload, obs_cfg));
+        Ok((session, provenance))
     }
 
     /// The cell's post-warm-up measurement budget in uops (streamed
@@ -1085,97 +875,6 @@ impl SimJob {
     /// installed status sink).
     fn heartbeat(&self) -> CellHeartbeat {
         CellHeartbeat::new(&self.label, self.status_index, self.measurement_uops())
-    }
-
-    /// Drives the cell through a [`SimSession`](crate::system::SimSession)
-    /// with periodic checkpoint writes, resuming from an existing
-    /// checkpoint when asked. A checkpoint that fails to decode is never
-    /// resumed from: the cell restarts fresh (recording
-    /// [`CheckpointProvenance::CorruptFallback`]) so the result is still
-    /// bit-identical to an uninterrupted run. Checkpoint *writes* are
-    /// best-effort — a failed write leaves the previous checkpoint valid
-    /// and the simulation unaffected.
-    fn run_checkpointed(
-        &self,
-        spec: &CheckpointSpec,
-    ) -> Result<(RunStats, Option<Observation>, CheckpointProvenance), CdpError> {
-        let sim = self.simulator()?;
-        let obs_cfg = self.obs.as_ref().map(|o| &o.cfg);
-        let io = spec.io();
-        let path = spec.path();
-        let mut provenance = CheckpointProvenance::Fresh;
-        let mut session = None;
-        if spec.resume {
-            // An unreadable checkpoint file is treated as absent (fresh
-            // start); bytes that *read* but fail to decode are the
-            // corrupt-fallback case below.
-            if let Ok(bytes) = io.read(&path) {
-                match sim.resume(&self.workload, obs_cfg, &bytes) {
-                    Ok(s) => {
-                        provenance = CheckpointProvenance::Resumed;
-                        session = Some(s);
-                    }
-                    Err(CdpError::Snapshot(_)) => {
-                        provenance = CheckpointProvenance::CorruptFallback;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        if let Some(status) = &spec.status {
-            status.set(provenance);
-        }
-        let mut session = session.unwrap_or_else(|| sim.session(&self.workload, obs_cfg));
-        let mut last_checkpoint = session.cycles();
-        let mut hb = self.heartbeat();
-        // One snapshot arena recycled across every checkpoint write.
-        let mut snap_buf = Vec::new();
-        loop {
-            if session.step()? {
-                break;
-            }
-            hb.tick(session.retired());
-            if spec.every > 0 && session.cycles().saturating_sub(last_checkpoint) >= spec.every {
-                last_checkpoint = session.cycles();
-                snap_buf = session.snapshot_into(snap_buf);
-                if let Err(e) = write_atomic(io.as_ref(), &path, &snap_buf) {
-                    // Best-effort, but never silent: the previous
-                    // checkpoint stays valid, the drop is counted, and
-                    // the operator hears about the failing disk.
-                    eprintln!(
-                        "warning: checkpoint write dropped for {}: {e}",
-                        path.display()
-                    );
-                    if let Some(status) = &spec.status {
-                        status.record_dropped_write();
-                    }
-                }
-            }
-        }
-        // The cell finished: its checkpoint has served its purpose. A
-        // later sweep resume re-runs the (deterministic) cell instead.
-        let _ = io.remove_file(&path);
-        let (stats, observation) = session.finish();
-        Ok((stats, self.obs.as_ref().map(|_| observation), provenance))
-    }
-}
-
-/// One finished [`SimJob`].
-#[derive(Clone, Debug)]
-pub struct SimResult {
-    /// The job's label, unchanged.
-    pub label: String,
-    /// The simulation statistics.
-    pub stats: RunStats,
-}
-
-impl SimJob {
-    fn execute_labelled(self) -> SimResult {
-        let stats = self.execute();
-        SimResult {
-            label: self.label,
-            stats,
-        }
     }
 }
 
@@ -1333,71 +1032,59 @@ mod tests {
     }
 
     #[test]
-    fn run_with_status_mixed_outcomes_preserve_submission_order() {
+    fn watchdog_mixed_outcomes_preserve_submission_order() {
         use std::sync::atomic::AtomicU32;
-        // Track that every started attempt also finishes (no leaked
-        // worker left running after the batch, modulo the one task we
+        // Track that every started task also finishes (no leaked worker
+        // left running after the batch, modulo the one task we
         // deliberately hang past its watchdog).
         let entered = Arc::new(AtomicU32::new(0));
         let exited = Arc::new(AtomicU32::new(0));
-        type Task = Box<dyn Fn() -> Result<u32, String> + Send + Sync>;
-        let track = |body: Box<dyn Fn() -> Result<u32, String> + Send + Sync>,
-                     entered: &Arc<AtomicU32>,
-                     exited: &Arc<AtomicU32>|
-         -> Task {
-            let (en, ex) = (Arc::clone(entered), Arc::clone(exited));
-            Box::new(move || {
-                en.fetch_add(1, Ordering::SeqCst);
-                let r = body();
-                ex.fetch_add(1, Ordering::SeqCst);
-                r
-            })
-        };
-        let tasks: Vec<Task> = vec![
-            track(Box::new(|| Ok(10)), &entered, &exited),
-            track(Box::new(|| Err("typed failure".into())), &entered, &exited),
-            track(Box::new(|| panic!("panicking job")), &entered, &exited),
-            track(
-                Box::new(|| {
-                    std::thread::sleep(Duration::from_millis(400));
-                    Ok(99)
-                }),
-                &entered,
-                &exited,
-            ),
-            track(Box::new(|| Ok(50)), &entered, &exited),
+        type Body = Box<dyn FnOnce() -> Result<u32, String> + Send>;
+        let bodies: Vec<Body> = vec![
+            Box::new(|| Ok(10)),
+            Box::new(|| Err("typed failure".into())),
+            Box::new(|| panic!("panicking job")),
+            Box::new(|| {
+                std::thread::sleep(Duration::from_millis(400));
+                Ok(99)
+            }),
+            Box::new(|| Ok(50)),
         ];
-        let policy = RunPolicy {
-            timeout: Some(Duration::from_millis(60)),
-            max_attempts: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-            ..RunPolicy::default()
-        };
-        let got = Pool::new(3).run_with_status(tasks, policy);
+        let timeout = Some(Duration::from_millis(60));
+        let tasks: Vec<_> = bodies
+            .into_iter()
+            .map(|body| {
+                let (en, ex) = (Arc::clone(&entered), Arc::clone(&exited));
+                let task = move || {
+                    en.fetch_add(1, Ordering::SeqCst);
+                    let r = body();
+                    ex.fetch_add(1, Ordering::SeqCst);
+                    r
+                };
+                move || run_watched(task, timeout)
+            })
+            .collect();
+        let got = Pool::new(3).run(tasks);
         assert_eq!(got.len(), 5, "one outcome per submitted job");
         assert_eq!(got[0], JobOutcome::Ok(10));
-        match &got[1] {
-            JobOutcome::Failed { error, attempts } => {
-                assert!(error.contains("typed failure"), "{error}");
-                assert_eq!(*attempts, 2, "errors are retried up to the cap");
+        assert_eq!(
+            got[1],
+            JobOutcome::Failed {
+                error: "typed failure".into()
             }
-            other => panic!("index 1: {other:?}"),
-        }
-        match &got[2] {
-            JobOutcome::Failed { error, attempts } => {
-                assert!(error.contains("panicking job"), "{error}");
-                assert_eq!(*attempts, 2);
+        );
+        assert_eq!(
+            got[2],
+            JobOutcome::Failed {
+                error: "panicking job".into()
             }
-            other => panic!("index 2: {other:?}"),
-        }
-        match &got[3] {
-            JobOutcome::TimedOut { attempts, timeout } => {
-                assert_eq!(*attempts, 1, "timeouts are not retried");
-                assert_eq!(*timeout, Duration::from_millis(60));
+        );
+        assert_eq!(
+            got[3],
+            JobOutcome::TimedOut {
+                timeout: Duration::from_millis(60)
             }
-            other => panic!("index 3: {other:?}"),
-        }
+        );
         assert_eq!(got[4], JobOutcome::Ok(50));
         // Failure indices are recoverable from the outcome vector alone.
         let failed: Vec<usize> = got
@@ -1407,101 +1094,34 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(failed, vec![1, 2, 3]);
-        // No leaked workers: every attempt that started finishes once the
-        // deliberately hung task's sleep elapses. Expected exits: ok(1) +
-        // error-retries(2) + timed-out-but-completing(1) + ok(1) = 5; the
-        // two panicking attempts unwind before their exit marker.
+        // Every task ran exactly once: a failure is final.
+        assert_eq!(entered.load(Ordering::SeqCst), 5);
+        // No leaked workers: every task that started finishes once the
+        // deliberately hung task's sleep elapses. Expected exits: ok +
+        // error + timed-out-but-completing + ok = 4; the panicking task
+        // unwinds before its exit marker.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while exited.load(Ordering::SeqCst) < 5 {
-            assert!(std::time::Instant::now() < deadline, "attempt leaked");
+        while exited.load(Ordering::SeqCst) < 4 {
+            assert!(std::time::Instant::now() < deadline, "task leaked");
             std::thread::sleep(Duration::from_millis(10));
         }
-        // entered counts: ok(1) + failed(2) + panic(2) + timeout(1, not
-        // retried) + ok(1) = 7.
-        assert_eq!(entered.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn run_with_status_retry_succeeds_after_transient_failures() {
-        use std::sync::atomic::AtomicU32;
-        let calls = Arc::new(AtomicU32::new(0));
-        let c = Arc::clone(&calls);
-        let task = move || {
-            if c.fetch_add(1, Ordering::SeqCst) < 2 {
-                Err("transient".to_string())
-            } else {
-                Ok(7u32)
-            }
-        };
-        let policy = RunPolicy {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(1),
-            ..RunPolicy::default()
-        };
-        let got = Pool::new(1).run_with_status(vec![task], policy);
-        assert_eq!(got, vec![JobOutcome::Ok(7)]);
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "two retries consumed");
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RunPolicy {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(35),
-            ..RunPolicy::default()
-        };
-        assert_eq!(p.backoff(1), Duration::from_millis(10));
-        assert_eq!(p.backoff(2), Duration::from_millis(20));
-        assert_eq!(p.backoff(3), Duration::from_millis(35), "capped");
-        assert_eq!(p.backoff(30), Duration::from_millis(35), "shift clamped");
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_bounded_and_desynchronized() {
-        let p = RunPolicy {
-            backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(2),
-            jitter_seed: 17,
-            ..RunPolicy::default()
-        };
-        for retry in 1..=5u32 {
-            for salt in 0..8u64 {
-                let j = p.backoff_jittered(retry, salt);
-                let full = p.backoff(retry);
-                assert!(j <= full, "jitter only subtracts");
-                assert!(
-                    j >= full.mul_f64(0.75),
-                    "shave bounded at 25%: {j:?} vs {full:?}"
-                );
-                assert_eq!(
-                    j,
-                    p.backoff_jittered(retry, salt),
-                    "same (seed, salt, retry) -> same wait"
-                );
-            }
-        }
-        // Colliding tasks (same retry, different salts) must not all
-        // re-land on the same instant.
-        let waits: std::collections::HashSet<Duration> =
-            (0..16u64).map(|salt| p.backoff_jittered(1, salt)).collect();
-        assert!(waits.len() > 8, "salts de-synchronize: {waits:?}");
     }
 
     #[test]
     fn job_outcome_accessors() {
         let ok: JobOutcome<u32> = JobOutcome::Ok(3);
-        assert!(ok.is_ok() && ok.failure().is_none() && ok.attempts() == 1);
+        assert!(ok.is_ok() && ok.failure().is_none());
+        assert_eq!(ok.status(), "ok");
         assert_eq!(ok.ok(), Some(3));
         let failed: JobOutcome<u32> = JobOutcome::Failed {
             error: "boom".into(),
-            attempts: 2,
         };
-        assert_eq!(failed.attempts(), 2);
+        assert_eq!(failed.status(), "failed");
         assert!(failed.failure().unwrap().contains("boom"));
         let timed: JobOutcome<u32> = JobOutcome::TimedOut {
-            attempts: 1,
             timeout: Duration::from_secs(1),
         };
+        assert_eq!(timed.status(), "timeout");
         assert!(timed.failure().unwrap().contains("timed out"));
         assert_eq!(timed.ok(), None);
     }
@@ -1516,12 +1136,12 @@ mod tests {
             SimJob::new("good", SystemConfig::asplos2002(), Arc::clone(&w)),
             SimJob::new("bad", bad_cfg, Arc::clone(&w)),
         ];
-        let got = Pool::new(2).run_sims_with_status(jobs, RunPolicy::default());
+        let got = Pool::new(2).run_sims(jobs, None);
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "good");
-        assert!(got[0].1.is_ok());
-        assert_eq!(got[1].0, "bad");
-        assert!(got[1].1.failure().unwrap().contains("configuration"));
+        assert_eq!(got[0].label, "good");
+        assert!(got[0].outcome.is_ok());
+        assert_eq!(got[1].label, "bad");
+        assert!(got[1].outcome.failure().unwrap().contains("configuration"));
     }
 
     #[test]
@@ -1545,12 +1165,13 @@ mod tests {
                     })
             })
             .collect();
-        let reports = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());
+        let reports = Pool::new(2).run_sims(jobs, None);
         assert_eq!(reports.len(), 2);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.label, format!("cell/{i}"));
             assert!(r.outcome.is_ok(), "{:?}", r.outcome.failure());
             assert!(r.wall > Duration::ZERO);
+            assert_eq!(r.source, ResultSource::Fresh);
         }
         let entries = sink.drain_sorted();
         assert_eq!(entries.len(), 2);
@@ -1585,13 +1206,14 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = Pool::new(1).run_sims(jobs(2));
-        let parallel = Pool::new(4).run_sims(jobs(2));
+        let serial = Pool::new(1).run_sims(jobs(2), None);
+        let parallel = Pool::new(4).run_sims(jobs(2), None);
         assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
+        for (s, p) in serial.into_iter().zip(parallel) {
             assert_eq!(s.label, p.label);
-            assert_eq!(s.stats.cycles, p.stats.cycles, "{}", s.label);
-            assert_eq!(s.stats.retired, p.stats.retired, "{}", s.label);
+            let (s_stats, p_stats) = (s.outcome.ok().unwrap(), p.outcome.ok().unwrap());
+            assert_eq!(s_stats.cycles, p_stats.cycles, "{}", s.label);
+            assert_eq!(s_stats.retired, p_stats.retired, "{}", s.label);
         }
     }
 }

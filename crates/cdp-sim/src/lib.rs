@@ -6,19 +6,20 @@
 //!   the stride, content, and Markov prefetchers plugged into their hook
 //!   points.
 //! * [`system`] — [`Simulator`]: core + hierarchy, warm-up handling,
-//!   MPTU tracing, and [`system::speedup`]. [`SimSession`] exposes the
-//!   stepping loop incrementally and can [`SimSession::snapshot`] the
-//!   full simulation state between steps; [`Simulator::resume`] restores
-//!   a session that continues bit-identically.
+//!   and [`system::speedup`]. [`SimSession`] is the one driving loop:
+//!   it steps window by window (recording [`MetricsWindow`]s when
+//!   observed) and can [`SimSession::snapshot`] the full simulation
+//!   state between steps; [`Simulator::resume`] restores a session that
+//!   continues bit-identically.
 //! * [`stats`] / [`metrics`] — counters and the paper's coverage/accuracy
 //!   and Figure 10 timeliness metrics.
-//! * [`runner`] — suite-level comparison drivers used by the experiment
-//!   harness.
+//! * [`runner`] — the experiment seed, workload builder, and §2.2
+//!   warm-up convention shared by the experiment harness.
 //! * [`exec`] — the parallel experiment engine: a std-only scoped-thread
 //!   [`Pool`] running independent simulations across cores with
 //!   submission-order (deterministic) results, plus the shared
-//!   [`WorkloadCache`]. [`Pool::run_with_status`] adds watchdog
-//!   timeouts, bounded retry, and per-job [`JobOutcome`] reporting.
+//!   [`WorkloadCache`]. [`Pool::run_sims`] drives each [`SimJob`] under
+//!   an optional watchdog timeout and reports a [`JobReport`] per job.
 //! * [`observe`] — windowed metrics time-series ([`MetricsWindow`]) and
 //!   the deterministic [`ObsSink`] that collects per-run
 //!   [`Observation`]s from parallel jobs for manifest emission.
@@ -55,16 +56,14 @@ pub mod system;
 
 pub use exec::{
     default_jobs, CheckpointProvenance, CheckpointSpec, CheckpointStatus, JobObs, JobOutcome,
-    JobReport, Pool, ResultCache, RunPolicy, SimJob, SimResult, WorkloadCache, CACHE_STRIPES,
+    JobReport, Pool, ResultCache, SimJob, WorkloadCache, CACHE_STRIPES,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSpec, WalkFault};
 pub use hierarchy::{Hierarchy, L2Meta, PollutionConfig};
 pub use metrics::{accuracy, coverage, geomean, mean};
 pub use observe::{MetricsWindow, Observation, ObsEntry, ObsSink};
 pub use persist::{decode_result, encode_result, RESULT_VERSION};
-pub use runner::{build_workload, compare_suite, run_benchmark, Comparison};
+pub use runner::build_workload;
 pub use stats::{DropCounters, Engine, EngineCounters, MemStats, RequestDistribution};
-pub use status::{install_status_sink, status_sink, ResultSource, SourceSlot, StatusSink};
-pub use system::{
-    set_fast_forward, speedup, RunLength, RunStats, SimSession, Simulator, WindowSample,
-};
+pub use status::{install_status_sink, status_sink, ResultSource, StatusSink};
+pub use system::{set_fast_forward, speedup, RunLength, RunStats, SimSession, Simulator};

@@ -1,9 +1,9 @@
 //! Windowed metrics time-series and per-run observation bundles.
 //!
-//! [`Simulator::try_run_observed`](crate::Simulator::try_run_observed)
-//! drives the core in windows (exactly like the fault-check loop — window
-//! boundaries change no simulated state) and snapshots a
-//! [`MetricsWindow`] delta at each boundary. Together with the drained
+//! An observed [`SimSession`](crate::SimSession) drives the core in
+//! windows (exactly like the fault-check loop — window boundaries change
+//! no simulated state) and snapshots a [`MetricsWindow`] delta at each
+//! boundary. Together with the drained
 //! trace ring this forms an [`Observation`]; parallel runs push theirs
 //! into a shared [`ObsSink`] tagged with `(batch, index)` so drain order
 //! is deterministic regardless of thread scheduling.
@@ -248,8 +248,7 @@ pub struct ObsEntry {
 /// Worker threads push in completion order; [`ObsSink::drain_sorted`]
 /// re-establishes `(batch, index)` submission order so emitted artifacts
 /// are byte-identical at any `--jobs` count. Duplicate `(batch, index)`
-/// entries (an abandoned timed-out attempt finishing late) keep only the
-/// first pushed.
+/// entries keep only the first pushed.
 #[derive(Debug, Default)]
 pub struct ObsSink {
     entries: Mutex<Vec<ObsEntry>>,

@@ -18,7 +18,9 @@ use cdp_core::CoreStats;
 use cdp_mem::BusStats;
 use cdp_obs::trace::{load_trace_data, save_trace_data, TraceEvent};
 use cdp_prefetch::adaptive::AdaptiveStats;
-use cdp_prefetch::{ContentStats, MarkovStats, StreamStats, StrideStats};
+use cdp_prefetch::{
+    ContentStats, DeltaStats, JumpStats, MarkovStats, PerceptronStats, StreamStats, StrideStats,
+};
 use cdp_snap::{Dec, Enc};
 use cdp_types::{ContentConfig, SnapshotError, VamConfig};
 
@@ -26,11 +28,13 @@ use crate::observe::{MetricsWindow, Observation};
 use crate::system::RunStats;
 
 /// Version of the result payload encoding. Bump on any layout change;
-/// older builds refuse newer payloads (and recompute) instead of
-/// misdecoding them. History: v1 — initial layout; v2 — appends the
-/// optional latency-attribution [`cdp_obs::Profile`] to observations
-/// (v1 entries still decode, with `profile: None`).
-pub const RESULT_VERSION: u32 = 2;
+/// a build refuses payloads of any other version (and recomputes)
+/// instead of misdecoding them. History: v1 — initial layout; v2 —
+/// appends the optional latency-attribution [`cdp_obs::Profile`] to
+/// observations; v3 — carries the delta, jump, and perceptron engine
+/// internals. Older payloads are refused rather than upgraded: a v2
+/// entry for a zoo cell cannot show that those fields are missing.
+pub const RESULT_VERSION: u32 = 3;
 
 /// Encodes a cached cell result — run statistics plus the optional
 /// observation — into self-contained payload bytes for the store.
@@ -53,13 +57,13 @@ pub fn encode_result(stats: &RunStats, obs: Option<&Observation>) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns a typed [`SnapshotError`] on truncation, a future payload
-/// version, or structurally impossible values. Callers treat any error
+/// Returns a typed [`SnapshotError`] on truncation, a payload version
+/// other than [`RESULT_VERSION`], or structurally impossible values. Callers treat any error
 /// as a miss (recompute) after the store quarantines the entry.
 pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), SnapshotError> {
     let mut d = Dec::new(bytes);
     let version = d.u32("result payload version")?;
-    if version > RESULT_VERSION {
+    if version != RESULT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: RESULT_VERSION,
@@ -67,7 +71,7 @@ pub fn decode_result(bytes: &[u8]) -> Result<(RunStats, Option<Observation>), Sn
     }
     let stats = load_run_stats(&mut d)?;
     let obs = if d.bool("result has observation")? {
-        Some(load_observation(&mut d, version)?)
+        Some(load_observation(&mut d)?)
     } else {
         None
     };
@@ -98,6 +102,9 @@ fn save_run_stats(s: &RunStats, e: &mut Enc) {
         }
         None => e.bool(false),
     }
+    opt(e, s.delta.as_ref(), save_delta_stats);
+    opt(e, s.jump.as_ref(), save_jump_stats);
+    opt(e, s.perceptron.as_ref(), save_perceptron_stats);
     e.u64(s.bus.transfers);
     e.u64(s.bus.demand_transfers);
     e.u64(s.bus.busy_cycles);
@@ -126,6 +133,9 @@ fn load_run_stats(d: &mut Dec<'_>) -> Result<RunStats, SnapshotError> {
     } else {
         None
     };
+    s.delta = opt_load(d, "result delta stats", load_delta_stats)?;
+    s.jump = opt_load(d, "result jump stats", load_jump_stats)?;
+    s.perceptron = opt_load(d, "result perceptron stats", load_perceptron_stats)?;
     s.bus = BusStats {
         transfers: d.u64("bus transfers")?,
         demand_transfers: d.u64("bus demand_transfers")?,
@@ -249,6 +259,62 @@ fn load_stream_stats(d: &mut Dec<'_>) -> Result<StreamStats, SnapshotError> {
     })
 }
 
+fn save_delta_stats(s: &DeltaStats, e: &mut Enc) {
+    e.u64(s.observed);
+    e.u64(s.table_hits);
+    e.u64(s.emitted);
+    e.u64(s.trained);
+    e.u64(s.evictions);
+}
+
+fn load_delta_stats(d: &mut Dec<'_>) -> Result<DeltaStats, SnapshotError> {
+    Ok(DeltaStats {
+        observed: d.u64("delta observed")?,
+        table_hits: d.u64("delta table_hits")?,
+        emitted: d.u64("delta emitted")?,
+        trained: d.u64("delta trained")?,
+        evictions: d.u64("delta evictions")?,
+    })
+}
+
+fn save_jump_stats(s: &JumpStats, e: &mut Enc) {
+    e.u64(s.observed);
+    e.u64(s.trained);
+    e.u64(s.table_hits);
+    e.u64(s.emitted);
+    e.u64(s.evictions);
+}
+
+fn load_jump_stats(d: &mut Dec<'_>) -> Result<JumpStats, SnapshotError> {
+    Ok(JumpStats {
+        observed: d.u64("jump observed")?,
+        trained: d.u64("jump trained")?,
+        table_hits: d.u64("jump table_hits")?,
+        emitted: d.u64("jump emitted")?,
+        evictions: d.u64("jump evictions")?,
+    })
+}
+
+fn save_perceptron_stats(s: &PerceptronStats, e: &mut Enc) {
+    e.u64(s.considered);
+    e.u64(s.accepted);
+    e.u64(s.rejected);
+    e.u64(s.trained_useful);
+    e.u64(s.trained_wasted);
+    e.u64(s.false_negatives);
+}
+
+fn load_perceptron_stats(d: &mut Dec<'_>) -> Result<PerceptronStats, SnapshotError> {
+    Ok(PerceptronStats {
+        considered: d.u64("perceptron considered")?,
+        accepted: d.u64("perceptron accepted")?,
+        rejected: d.u64("perceptron rejected")?,
+        trained_useful: d.u64("perceptron trained_useful")?,
+        trained_wasted: d.u64("perceptron trained_wasted")?,
+        false_negatives: d.u64("perceptron false_negatives")?,
+    })
+}
+
 fn save_content_config(c: &ContentConfig, e: &mut Enc) {
     e.u32(c.vam.compare_bits);
     e.u32(c.vam.filter_bits);
@@ -291,16 +357,10 @@ fn save_observation(o: &Observation, e: &mut Enc) {
     e.u64(o.trace_recorded);
     e.u64(o.trace_overwritten);
     e.u64(o.trace_sampled_out);
-    match &o.profile {
-        Some(p) => {
-            e.bool(true);
-            p.save_state(e);
-        }
-        None => e.bool(false),
-    }
+    opt(e, o.profile.as_ref(), cdp_obs::Profile::save_state);
 }
 
-fn load_observation(d: &mut Dec<'_>, version: u32) -> Result<Observation, SnapshotError> {
+fn load_observation(d: &mut Dec<'_>) -> Result<Observation, SnapshotError> {
     // MetricsWindow is 16 fixed-width fields; 17 is the smallest
     // possible encoding (usize can shrink, the u64s cannot... both are
     // fixed 8 bytes here, but a conservative floor still bounds the
@@ -322,13 +382,11 @@ fn load_observation(d: &mut Dec<'_>, version: u32) -> Result<Observation, Snapsh
     let trace_recorded = d.u64("observation trace_recorded")?;
     let trace_overwritten = d.u64("observation trace_overwritten")?;
     let trace_sampled_out = d.u64("observation trace_sampled_out")?;
-    // v1 entries predate profiles; they decode with `profile: None` so
-    // warm store files stay usable across the upgrade.
-    let profile = if version >= 2 && d.bool("observation has profile")? {
-        Some(cdp_obs::Profile::restore_state(d)?)
-    } else {
-        None
-    };
+    let profile = opt_load(
+        d,
+        "observation has profile",
+        cdp_obs::Profile::restore_state,
+    )?;
     Ok(Observation {
         windows,
         events,
@@ -369,6 +427,28 @@ mod tests {
             },
             ContentConfig::tuned(),
         ));
+        s.delta = Some(DeltaStats {
+            observed: 31,
+            table_hits: 12,
+            emitted: 9,
+            trained: 30,
+            evictions: 3,
+        });
+        s.jump = Some(JumpStats {
+            observed: 41,
+            trained: 17,
+            table_hits: 8,
+            emitted: 6,
+            evictions: 2,
+        });
+        s.perceptron = Some(PerceptronStats {
+            considered: 50,
+            accepted: 35,
+            rejected: 15,
+            trained_useful: 20,
+            trained_wasted: 11,
+            false_negatives: 4,
+        });
         s.bus.transfers = 999;
         s
     }
@@ -429,18 +509,21 @@ mod tests {
     }
 
     #[test]
-    fn v1_payload_decodes_with_no_profile() {
-        // Emulate a pre-profile store entry: same layout minus the
-        // trailing "has profile" flag, tagged version 1.
-        let stats = sample_stats();
-        let mut obs = sample_observation();
-        obs.profile = None;
-        let mut bytes = encode_result(&stats, Some(&obs));
-        bytes[0..4].copy_from_slice(&1u32.to_le_bytes());
-        bytes.pop();
-        let (back_stats, back_obs) = decode_result(&bytes).unwrap();
-        assert_eq!(format!("{stats:?}"), format!("{back_stats:?}"));
-        assert!(back_obs.unwrap().profile.is_none());
+    fn pre_v3_payloads_are_refused_typed() {
+        // v1/v2 layouts lack the delta/jump/perceptron internals; a
+        // decoded zoo cell would silently read them as `None`. Both must
+        // be refused so the store quarantines and recomputes them.
+        for old in [1u32, 2] {
+            let mut bytes = encode_result(&sample_stats(), Some(&sample_observation()));
+            bytes[0..4].copy_from_slice(&old.to_le_bytes());
+            match decode_result(&bytes) {
+                Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, old);
+                    assert_eq!(supported, RESULT_VERSION);
+                }
+                other => panic!("v{old} payload must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -134,46 +134,6 @@ impl RunStats {
     }
 }
 
-/// One window of a [`Simulator::run_timeline`] trace (all counters are
-/// per-window, not cumulative).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowSample {
-    /// Window index.
-    pub window: usize,
-    /// Uops retired in this window.
-    pub retired: u64,
-    /// Cycles elapsed in this window.
-    pub cycles: u64,
-    /// L2 demand misses in this window.
-    pub l2_misses: u64,
-    /// L1 misses in this window.
-    pub l1_misses: u64,
-    /// Content prefetches issued in this window.
-    pub content_issued: u64,
-    /// Content prefetches that became useful in this window.
-    pub content_useful: u64,
-}
-
-impl WindowSample {
-    /// The window's MPTU.
-    pub fn mptu(&self) -> f64 {
-        if self.retired == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 * 1000.0 / self.retired as f64
-        }
-    }
-
-    /// The window's IPC.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.retired as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Speedup of `variant` over `baseline` on the same workload
 /// (`baseline_cycles / variant_cycles`, the paper's convention: 1.126 =
 /// "12.6% speedup").
@@ -300,27 +260,6 @@ impl Simulator {
         Ok(session.finish().0)
     }
 
-    /// As [`Simulator::try_run`], with observability: installs a tracer
-    /// when `obs.trace` is set, and snapshots a [`MetricsWindow`] delta
-    /// every `obs.metrics_window` retired uops. The driving loop has the
-    /// same shape as `try_run` (window boundaries change no simulated
-    /// state), so the returned `RunStats` are identical to an unobserved
-    /// run — asserted by `tests/observability.rs`. Warmup is excluded:
-    /// the tracer is cleared and window 0 starts at the warmup boundary.
-    ///
-    /// # Errors
-    ///
-    /// The first [`CdpError`] latched by the memory hierarchy.
-    pub fn try_run_observed(
-        &self,
-        workload: &Workload,
-        obs: &ObsConfig,
-    ) -> Result<(RunStats, Observation), CdpError> {
-        let mut session = self.session(workload, Some(obs));
-        while !session.step()? {}
-        Ok(session.finish())
-    }
-
     /// The fingerprint a snapshot of this simulator over `workload` (with
     /// observability `obs`) carries in its header. It folds in everything
     /// that determines simulated behavior — full system configuration,
@@ -337,10 +276,19 @@ impl Simulator {
         h.finish()
     }
 
-    /// Starts a pausable run: the same windowed driving loop as
-    /// [`Simulator::try_run`] / [`Simulator::try_run_observed`] (which are
-    /// implemented on top of it), but surfaced as an object that can be
-    /// stepped window by window and snapshotted between steps.
+    /// Starts a pausable run: the windowed driving loop every run path
+    /// (including [`Simulator::try_run`]) is built on, surfaced as an
+    /// object that can be stepped window by window and snapshotted
+    /// between steps.
+    ///
+    /// With `obs` set, the session installs a tracer when `obs.trace` is
+    /// set, collects latency histograms under `obs.profile_hist`, and
+    /// records a [`MetricsWindow`] delta every `obs.metrics_window`
+    /// retired uops (read back from [`Observation::windows`] after
+    /// [`SimSession::finish`]). Window boundaries change no simulated
+    /// state, so the final `RunStats` are identical to an unobserved
+    /// run. Warm-up is excluded: the tracer is cleared and window 0
+    /// starts at the warm-up boundary.
     pub fn session<'w>(&self, workload: &'w Workload, obs: Option<&ObsConfig>) -> SimSession<'w> {
         let mut hierarchy = self.build_hierarchy(workload);
         if let Some(tc) = obs.and_then(|o| o.trace.as_ref()) {
@@ -395,77 +343,6 @@ impl Simulator {
         let mut session = self.session(workload, obs);
         session.restore(bytes).map_err(CdpError::Snapshot)?;
         Ok(session)
-    }
-
-    /// Runs `workload` in windows of `window_uops` retired uops, sampling
-    /// the full per-window statistics timeline (non-cumulative). The last
-    /// window may be shorter than `window_uops`.
-    /// # Panics
-    ///
-    /// Panics on an unrecoverable demand-path fault (see
-    /// [`Simulator::try_run`]).
-    pub fn run_timeline(&self, workload: &Workload, window_uops: u64) -> Vec<WindowSample> {
-        let mut hierarchy = self.build_hierarchy(workload);
-        let mut core = build_core(&self.cfg, workload);
-        let mut samples = Vec::new();
-        let mut target = window_uops;
-        let mut prev_retired = 0u64;
-        let mut prev_cycles = 0u64;
-        let mut prev_mem = MemStats::default();
-        loop {
-            let done = core.run_until_retired(&mut hierarchy, target);
-            if let Some(e) = hierarchy.take_fault() {
-                panic!("{e}");
-            }
-            let cs = core.stats();
-            let mem = *hierarchy.stats();
-            let retired = cs.retired - prev_retired;
-            let cycles = cs.cycles - prev_cycles;
-            samples.push(WindowSample {
-                window: samples.len(),
-                retired,
-                cycles,
-                l2_misses: mem.l2_demand_misses - prev_mem.l2_demand_misses,
-                l1_misses: mem.l1_misses - prev_mem.l1_misses,
-                content_issued: mem.content.issued - prev_mem.content.issued,
-                content_useful: mem.content.useful() - prev_mem.content.useful(),
-            });
-            prev_retired = cs.retired;
-            prev_cycles = cs.cycles;
-            prev_mem = mem;
-            if done {
-                return samples;
-            }
-            target += window_uops;
-        }
-    }
-
-    /// Runs `workload` in windows of `window_uops` retired uops, sampling
-    /// the **non-cumulative** L2 MPTU of each window (the Figure 1
-    /// methodology). Returns one MPTU value per completed window.
-    /// # Panics
-    ///
-    /// Panics on an unrecoverable demand-path fault (see
-    /// [`Simulator::try_run`]).
-    pub fn run_mptu_trace(&self, workload: &Workload, window_uops: u64) -> Vec<f64> {
-        let mut hierarchy = self.build_hierarchy(workload);
-        let mut core = build_core(&self.cfg, workload);
-        let mut samples = Vec::new();
-        let mut target = window_uops;
-        let mut prev_misses = 0u64;
-        loop {
-            let done = core.run_until_retired(&mut hierarchy, target);
-            if let Some(e) = hierarchy.take_fault() {
-                panic!("{e}");
-            }
-            let misses = hierarchy.stats().l2_demand_misses;
-            samples.push((misses - prev_misses) as f64 * 1000.0 / window_uops as f64);
-            prev_misses = misses;
-            if done {
-                return samples;
-            }
-            target += window_uops;
-        }
     }
 }
 
@@ -734,15 +611,30 @@ mod tests {
         assert!(cdp.mem.content.issued > 0, "CDP actually ran");
     }
 
+    /// Drives an observed session to completion.
+    fn observed_run(sim: &Simulator, w: &Workload, obs: &ObsConfig) -> (RunStats, Observation) {
+        let mut session = sim.session(w, Some(obs));
+        while !session.step().unwrap() {}
+        session.finish()
+    }
+
+    fn windowed(window: u64) -> ObsConfig {
+        ObsConfig {
+            metrics_window: Some(window),
+            ..ObsConfig::default()
+        }
+    }
+
     #[test]
     fn timeline_windows_sum_to_totals() {
         let w = Benchmark::Tpcc1.build(Scale::smoke(), 6);
         let sim = Simulator::new(SystemConfig::with_content());
-        let timeline = sim.run_timeline(&w, 4_000);
+        let (_, observation) = observed_run(&sim, &w, &windowed(4_000));
+        let timeline = observation.windows;
         let full = sim.run(&w);
         assert!(timeline.len() >= 2);
         let retired: u64 = timeline.iter().map(|s| s.retired).sum();
-        let misses: u64 = timeline.iter().map(|s| s.l2_misses).sum();
+        let misses: u64 = timeline.iter().map(|s| s.l2_demand_misses).sum();
         let issued: u64 = timeline.iter().map(|s| s.content_issued).sum();
         assert_eq!(retired, full.retired);
         assert_eq!(misses, full.mem.l2_demand_misses);
@@ -759,8 +651,13 @@ mod tests {
     #[test]
     fn mptu_trace_has_warmup_transient() {
         let w = Benchmark::Tpcc2.build(Scale::smoke(), 9);
-        let trace =
-            Simulator::new(SystemConfig::asplos2002()).run_mptu_trace(&w, 2_000);
+        let sim = Simulator::new(SystemConfig::asplos2002());
+        let (_, observation) = observed_run(&sim, &w, &windowed(2_000));
+        let trace: Vec<f64> = observation
+            .windows
+            .iter()
+            .map(|win| win.l2_demand_misses as f64 * 1000.0 / 2_000.0)
+            .collect();
         assert!(trace.len() >= 5);
         // First window (cold caches) has more misses than the average of
         // the later half (steady state).
@@ -854,13 +751,12 @@ mod tests {
         let eager = Benchmark::Tpcc1.build_with_engine(Scale::smoke(), 6, false);
         let streamed = Benchmark::Tpcc1.build_with_engine(Scale::smoke(), 6, true);
         let sim = Simulator::new(SystemConfig::with_content());
-        assert_eq!(
-            sim.run_timeline(&eager, 4_000),
-            sim.run_timeline(&streamed, 4_000)
-        );
-        let a = sim.run_mptu_trace(&eager, 2_000);
-        let b = sim.run_mptu_trace(&streamed, 2_000);
-        assert_eq!(a, b);
+        for window in [4_000, 2_000] {
+            let (_, a) = observed_run(&sim, &eager, &windowed(window));
+            let (_, b) = observed_run(&sim, &streamed, &windowed(window));
+            assert!(a.windows.len() >= 2);
+            assert_eq!(a.windows, b.windows, "window {window}");
+        }
     }
 
     fn observed_cfg() -> ObsConfig {
@@ -913,7 +809,7 @@ mod tests {
         let cfg = SystemConfig::with_content();
         let obs = observed_cfg();
         let sim = Simulator::new(cfg.clone());
-        let (ref_stats, ref_obs) = sim.try_run_observed(&w, &obs).unwrap();
+        let (ref_stats, ref_obs) = observed_run(&sim, &w, &obs);
 
         let mut session = sim.session(&w, Some(&obs));
         for _ in 0..2 {

@@ -6,17 +6,31 @@
 //! cargo run --release --example timeline
 //! ```
 
-use cdp::sim::{RunLength, Simulator};
-use cdp::types::SystemConfig;
+use cdp::sim::{MetricsWindow, RunLength, Simulator};
+use cdp::types::{ObsConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
+use cdp::workloads::Workload;
+
+/// Runs `cfg` over `workload`, recording one [`MetricsWindow`] per
+/// `window` retired uops.
+fn timeline(cfg: SystemConfig, workload: &Workload, window: u64) -> Vec<MetricsWindow> {
+    let obs = ObsConfig {
+        metrics_window: Some(window),
+        ..ObsConfig::default()
+    };
+    let sim = Simulator::new(cfg);
+    let mut session = sim.session(workload, Some(&obs));
+    while !session.step().expect("well-formed workload") {}
+    session.finish().1.windows
+}
 
 fn main() {
     let workload = Benchmark::Tpcc3.build(RunLength::Quick.scale(), 17);
     println!("{}\n", workload.summary());
 
     let window = 50_000u64;
-    let base = Simulator::new(SystemConfig::asplos2002()).run_timeline(&workload, window);
-    let cdp = Simulator::new(SystemConfig::with_content()).run_timeline(&workload, window);
+    let base = timeline(SystemConfig::asplos2002(), &workload, window);
+    let cdp = timeline(SystemConfig::with_content(), &workload, window);
 
     println!(
         "{:>6}  {:>10} {:>8} {:>8}   {:>10} {:>8} {:>8}  {:>8}",

@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test -q --release --workspace
 
+echo "== simbench tests (benchmark package: golden digests + self-checks) =="
+# The benchmark lives in its own package (own [workspace]) built against
+# the crates by path, so the workspace test run above never compiles it.
+cargo test -q --offline --manifest-path simbench/Cargo.toml
+
 echo "== experiments all --smoke --jobs 2 =="
 ./target/release/experiments all --smoke --jobs 2 > /dev/null
 

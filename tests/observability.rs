@@ -11,9 +11,18 @@ use std::sync::Arc;
 
 use cdp::experiments::obs::{build_manifest, CellRecord, ExperimentRecord, ObsTaken};
 use cdp::obs::{Json, TraceData};
-use cdp::sim::{JobObs, JobOutcome, ObsSink, Pool, RunPolicy, SimJob, Simulator};
+use cdp::sim::{JobObs, JobOutcome, ObsSink, Observation, Pool, RunStats, SimJob, Simulator};
 use cdp::types::{ObsConfig, SystemConfig, TraceConfig, TraceFilter};
+use cdp::workloads::Workload;
 use cdp_testutil::default_workload as workload;
+
+/// Drives an observed session of `cfg` over `w` to completion.
+fn observed_run(cfg: SystemConfig, w: &Workload, obs: &ObsConfig) -> (RunStats, Observation) {
+    let sim = Simulator::try_new(cfg).unwrap();
+    let mut session = sim.session(w, Some(obs));
+    while !session.step().unwrap() {}
+    session.finish()
+}
 
 #[test]
 fn observed_run_matches_plain_run_exactly() {
@@ -29,10 +38,7 @@ fn observed_run_matches_plain_run_exactly() {
         metrics_window: Some(10_000),
         profile_hist: true,
     };
-    let (observed, observation) = Simulator::try_new(cfg.clone())
-        .unwrap()
-        .try_run_observed(&w, &obs)
-        .unwrap();
+    let (observed, observation) = observed_run(cfg.clone(), &w, &obs);
     assert_eq!(plain.cycles, observed.cycles);
     assert_eq!(plain.retired, observed.retired);
     assert_eq!(plain.mem, observed.mem);
@@ -41,10 +47,7 @@ fn observed_run_matches_plain_run_exactly() {
     assert!(!observation.windows.is_empty(), "windowing captured series");
     // Observability fully off: the observed path still matches, and the
     // observation is empty.
-    let (off, empty) = Simulator::try_new(cfg)
-        .unwrap()
-        .try_run_observed(&w, &ObsConfig::default())
-        .unwrap();
+    let (off, empty) = observed_run(cfg, &w, &ObsConfig::default());
     assert_eq!(plain.cycles, off.cycles);
     assert_eq!(plain.mem, off.mem);
     assert!(empty.events.is_empty() && empty.windows.is_empty());
@@ -59,10 +62,7 @@ fn window_deltas_sum_to_run_totals() {
         metrics_window: Some(8_192),
         profile_hist: false,
     };
-    let (stats, observation) = Simulator::try_new(SystemConfig::with_content())
-        .unwrap()
-        .try_run_observed(&w, &obs)
-        .unwrap();
+    let (stats, observation) = observed_run(SystemConfig::with_content(), &w, &obs);
     assert!(observation.windows.len() > 1, "small window ⇒ many windows");
     let retired: u64 = observation.windows.iter().map(|x| x.retired).sum();
     let cycles: u64 = observation.windows.iter().map(|x| x.cycles).sum();
@@ -82,18 +82,12 @@ fn window_deltas_sum_to_run_totals() {
 fn trace_ring_honors_filter_capacity_and_sampling() {
     let w = workload();
     let run = |trace: TraceConfig| {
-        Simulator::try_new(SystemConfig::with_content())
-            .unwrap()
-            .try_run_observed(
-                &w,
-                &ObsConfig {
-                    trace: Some(trace),
-                    metrics_window: None,
-                    profile_hist: false,
-                },
-            )
-            .unwrap()
-            .1
+        let obs = ObsConfig {
+            trace: Some(trace),
+            metrics_window: None,
+            profile_hist: false,
+        };
+        observed_run(SystemConfig::with_content(), &w, &obs).1
     };
     // Filter: a vam-only ring records only VAM verdicts.
     let vam_only = run(TraceConfig {
@@ -163,15 +157,14 @@ fn manifest_from_real_runs_validates_and_round_trips() {
             })
         })
         .collect();
-    let reports = Pool::new(2).run_sims_profiled(jobs, RunPolicy::default());
+    let reports = Pool::new(2).run_sims(jobs, None);
     let taken = ObsTaken {
         cells: reports
             .iter()
             .map(|r| CellRecord {
                 experiment: "obs-it".into(),
                 label: r.label.clone(),
-                status: if r.outcome.is_ok() { "ok" } else { "failed" },
-                attempts: r.outcome.attempts(),
+                status: r.outcome.status(),
                 wall_ms: r.wall.as_millis() as u64,
                 config_fingerprint: cdp::obs::fingerprint_hex(r.label.as_bytes()),
                 checkpoint: "off",

@@ -15,8 +15,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cdp::sim::{
-    CheckpointProvenance, CheckpointSpec, CheckpointStatus, SimJob, SimSession, Simulator,
-    WalkFault,
+    CheckpointProvenance, CheckpointSpec, CheckpointStatus, JobObs, ObsSink, Pool, ResultCache,
+    ResultSource, SimJob, SimSession, Simulator, WalkFault,
 };
 use cdp::types::{
     CdpError, DeltaConfig, JumpConfig, ObsConfig, PerceptronConfig, SnapshotError, SystemConfig,
@@ -359,11 +359,76 @@ fn simjob_checkpointing_reports_provenance_and_stays_identical() {
     assert!(!session.step().expect("seed step"));
     std::fs::write(&path, session.snapshot()).expect("seed checkpoint");
     let status = CheckpointStatus::shared();
-    let stats = SimJob::new("no-resume", cfg, Arc::clone(&w))
+    let stats = SimJob::new("no-resume", cfg.clone(), Arc::clone(&w))
         .with_checkpoint(spec(false, &status))
         .try_execute()
         .expect("no-resume cell");
     assert_eq!(status.get(), CheckpointProvenance::Fresh);
     assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
+
+    // Observed + checkpointed: resume from a mid-run observed snapshot;
+    // the stats match the plain reference and the observation pushed to
+    // the sink matches an uninterrupted observed job's.
+    let obs = obs_cfg();
+    let job_obs = |sink: &Arc<ObsSink>| JobObs {
+        cfg: obs.clone(),
+        sink: Arc::clone(sink),
+        batch: 0,
+        index: 0,
+    };
+    let ref_sink = ObsSink::shared();
+    SimJob::new("obs-ref", cfg.clone(), Arc::clone(&w))
+        .with_obs(job_obs(&ref_sink))
+        .try_execute()
+        .expect("observed reference cell");
+    let mut session = Simulator::new(cfg.clone()).session(&w, Some(&obs));
+    for _ in 0..2 {
+        assert!(!session.step().expect("seed step"));
+    }
+    std::fs::write(&path, session.snapshot()).expect("seed observed checkpoint");
+    let sink = ObsSink::shared();
+    let status = CheckpointStatus::shared();
+    let stats = SimJob::new("obs-resumed", cfg.clone(), Arc::clone(&w))
+        .with_obs(job_obs(&sink))
+        .with_checkpoint(spec(true, &status))
+        .try_execute()
+        .expect("observed checkpointed cell");
+    assert_eq!(status.get(), CheckpointProvenance::Resumed);
+    assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
+    assert!(!path.exists());
+    let (want, got) = (ref_sink.drain_sorted(), sink.drain_sorted());
+    assert_eq!(got.len(), 1, "the observation reached the sink once");
+    assert_eq!(want[0].observation.windows, got[0].observation.windows);
+    assert_eq!(want[0].observation.events, got[0].observation.events);
+    assert_eq!(want[0].observation.profile, got[0].observation.profile);
+
+    // Checkpointed against a result cache: the cold run simulates (and
+    // fills the cache); the second run replays from the cache without
+    // touching the checkpoint slot or writing a checkpoint.
+    let cache = Arc::new(ResultCache::new());
+    let cached_job = |status: &Arc<CheckpointStatus>| {
+        SimJob::new("cached", cfg.clone(), Arc::clone(&w))
+            .with_result_cache(Arc::clone(&cache), 0xc0ffee)
+            .with_checkpoint(spec(true, status))
+    };
+    let pool = Pool::new(1);
+    let cold_status = CheckpointStatus::shared();
+    let warm_status = CheckpointStatus::shared();
+    let cold = pool
+        .run_sims(vec![cached_job(&cold_status)], None)
+        .remove(0);
+    let warm = pool
+        .run_sims(vec![cached_job(&warm_status)], None)
+        .remove(0);
+    assert_eq!(cold.source, ResultSource::Fresh);
+    assert_eq!(warm.source, ResultSource::ResultCache);
+    assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    assert_eq!(cold_status.get(), CheckpointProvenance::Fresh);
+    assert_eq!(warm_status.get(), CheckpointProvenance::Fresh);
+    assert!(!path.exists());
+    for report in [cold, warm] {
+        let stats = report.outcome.ok().expect("cached cell succeeds");
+        assert_eq!(format!("{reference:?}"), format!("{stats:?}"));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -58,9 +58,9 @@ fn jobs_for(cfg: &SystemConfig, cache: Option<&Arc<ResultCache>>) -> Vec<SimJob>
 }
 
 fn run_grid(pool: &Pool, cfg: &SystemConfig, cache: Option<&Arc<ResultCache>>) -> Vec<String> {
-    pool.run_sims(jobs_for(cfg, cache))
+    pool.run_sims(jobs_for(cfg, cache), None)
         .into_iter()
-        .map(|r| format!("{}: {:?}", r.label, r.stats))
+        .map(|r| format!("{}: {:?}", r.label, r.outcome.ok().expect("cell succeeds")))
         .collect()
 }
 
