@@ -16,6 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests =="
 cargo test -q --release --workspace
 
+echo "== golden digests (extended matrix: every benchmark on base/CDP + a full-scale cell) =="
+# The quick gate of tests/golden_digests.rs runs in every `cargo test`;
+# the wider matrix is #[ignore]d there and affordable only in release.
+cargo test -q --release --test golden_digests -- --ignored
+
 echo "== simbench tests (benchmark package: golden digests + self-checks) =="
 # The benchmark lives in its own package (own [workspace]) built against
 # the crates by path, so the workspace test run above never compiles it.
