@@ -139,11 +139,13 @@ pub fn run(scale: ExpScale, pool: &Pool) -> Figure10 {
     for (b, pair) in Benchmark::all().into_iter().zip(runs.chunks(2)) {
         let data = match (&pair[0], &pair[1]) {
             (Some(base), Some(cdp)) => {
-                let d = cdp.mem.distribution;
+                let d = cdp.mem.distribution();
                 agg.stride_full += d.stride_full;
                 agg.stride_partial += d.stride_partial;
                 agg.cpf_full += d.cpf_full;
                 agg.cpf_partial += d.cpf_partial;
+                agg.other_full += d.other_full;
+                agg.other_partial += d.other_partial;
                 agg.unmasked_misses += d.unmasked_misses;
                 Some(RowData {
                     fractions: d.fractions(),

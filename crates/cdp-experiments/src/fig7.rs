@@ -7,8 +7,8 @@
 //! coverage falls (the prefetchable region halves per added bit).
 
 use cdp_sim::runner::pointer_subset;
-use cdp_sim::{accuracy, coverage, Engine, Pool, RunStats};
-use cdp_types::{SystemConfig, VamConfig};
+use cdp_sim::{accuracy, coverage, Pool, RunStats};
+use cdp_types::{EngineId, SystemConfig, VamConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
@@ -119,11 +119,11 @@ pub(crate) fn reduce_point(
     for (r, (_, base)) in runs.iter().zip(baselines) {
         match (r, base) {
             (Some(r), Some(base)) => {
-                covs.push(Some(coverage(r, base, Engine::Content)));
+                covs.push(Some(coverage(r, base, EngineId::Content)));
                 // Warm-up boundary effects can push the raw ratio past 1;
                 // clamp for presentation (the paper's counters share the
                 // window).
-                accs.push(Some(accuracy(r, Engine::Content).min(1.0)));
+                accs.push(Some(accuracy(r, EngineId::Content).min(1.0)));
             }
             _ => {
                 covs.push(None);

@@ -24,8 +24,8 @@
 use cdp_prefetch::{
     DeltaPrefetcher, JumpPrefetcher, MarkovPrefetcher, PerceptronFilter, Prefetcher,
 };
-use cdp_sim::{speedup, Engine, Pool, RunStats};
-use cdp_types::{DeltaConfig, JumpConfig, MarkovConfig, PerceptronConfig, SystemConfig};
+use cdp_sim::{speedup, Pool, RunStats};
+use cdp_types::{DeltaConfig, EngineId, JumpConfig, MarkovConfig, PerceptronConfig, SystemConfig};
 use cdp_workloads::suite::Benchmark;
 
 use crate::common::{
@@ -49,7 +49,7 @@ pub struct Entrant {
     /// The full system configuration (Table 1 core + this entrant).
     pub cfg: SystemConfig,
     /// Engine whose counters score this entrant.
-    pub engine: Engine,
+    pub engine: EngineId,
     /// Requested table budget; `None` for the stateless reference row.
     pub requested: Option<usize>,
     /// Realized `budget_bytes()` of the normalized configuration.
@@ -91,7 +91,7 @@ pub fn entrants(budget: usize) -> Result<Vec<Entrant>, String> {
     let mut list: Vec<Entrant> = Vec::new();
     let mut push = |name: &'static str,
                     cfg: SystemConfig,
-                    engine: Engine,
+                    engine: EngineId,
                     requested: Option<usize>|
      -> Result<(), String> {
         let actual = table_budget_bytes(&cfg);
@@ -121,20 +121,20 @@ pub fn entrants(budget: usize) -> Result<Vec<Entrant>, String> {
         associativity: 16,
         fanout: 4,
     });
-    push("markov", markov, Engine::Markov, Some(budget))?;
+    push("markov", markov, EngineId::Markov, Some(budget))?;
     push(
         "delta",
         SystemConfig::with_delta(DeltaConfig::pangloss(budget)),
-        Engine::Delta,
+        EngineId::Delta,
         Some(budget),
     )?;
     push(
         "jump",
         SystemConfig::with_jump(JumpConfig::sized(budget)),
-        Engine::Jump,
+        EngineId::Jump,
         Some(budget),
     )?;
-    push("cdp", SystemConfig::with_content(), Engine::Content, None)?;
+    push("cdp", SystemConfig::with_content(), EngineId::Content, None)?;
     let perceptron = PerceptronConfig::with_budget(budget).ok_or_else(|| {
         format!(
             "cannot normalize a perceptron filter to {budget} bytes \
@@ -145,13 +145,13 @@ pub fn entrants(budget: usize) -> Result<Vec<Entrant>, String> {
     push(
         "cdp+perceptron",
         SystemConfig::with_content().gated(perceptron),
-        Engine::Content,
+        EngineId::Content,
         Some(budget),
     )?;
     push(
         "stride+perceptron",
         SystemConfig::asplos2002().gated(perceptron),
-        Engine::Stride,
+        EngineId::Stride,
         Some(budget),
     )?;
     Ok(list)

@@ -33,4 +33,4 @@ pub use manifest::{
     fingerprint, fingerprint_hex, validate, validate_bench, BENCH_SCHEMA_VERSION,
     MIN_SCHEMA_VERSION, PROFILE_HIST_KEYS, PROFILE_STAT_KEYS, REQUIRED_KEYS, SCHEMA_VERSION,
 };
-pub use trace::{DropReason, EngineTag, FaultTag, TraceData, TraceEvent, TraceRing, VamCause};
+pub use trace::{DropReason, FaultTag, TraceData, TraceEvent, TraceRing, VamCause};

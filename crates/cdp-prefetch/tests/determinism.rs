@@ -218,8 +218,8 @@ fn perceptron_filter_replays_identically() {
                     }
                     1 => {
                         let useful = rng.gen_range_u32(0..2) == 0;
-                        a.train(vaddr, kind, useful);
-                        b.train(vaddr, kind, useful);
+                        a.train(vaddr, kind.engine(), useful);
+                        b.train(vaddr, kind.engine(), useful);
                     }
                     _ => {
                         a.on_demand_miss(vaddr);

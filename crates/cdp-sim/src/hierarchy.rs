@@ -22,26 +22,26 @@
 
 use cdp_core::MemoryModel;
 use cdp_mem::{AddressSpace, Bus, Cache, MshrFile, Tlb};
-use cdp_obs::trace::{DropReason, EngineTag, FaultTag, TraceData, TraceRing, VamCause};
+use cdp_obs::trace::{DropReason, FaultTag, TraceData, TraceRing, VamCause};
 use cdp_prefetch::adaptive::AdaptiveVam;
 use cdp_prefetch::{
     ContentPrefetcher, DeltaPrefetcher, JumpPrefetcher, MarkovPrefetcher, PerceptronFilter,
     Prefetcher, PrefetchRequest, StreamPrefetcher, StridePrefetcher, VamVerdict,
 };
 use cdp_types::{
-    AccessKind, CdpError, LineAddr, PhysAddr, RequestKind, SystemConfig, TraceFilter, VirtAddr,
-    LINE_SIZE, WORD_SIZE,
+    AccessKind, CdpError, EngineId, LineAddr, PhysAddr, RequestKind, SystemConfig, TraceFilter,
+    VirtAddr, LINE_SIZE, WORD_SIZE,
 };
 
 use crate::fault::WalkFault;
-use crate::stats::{Engine, MemStats};
+use crate::stats::MemStats;
 
 /// Per-L2-line metadata: the paper's reinforcement depth bits plus
 /// bookkeeping for the Figure 10 classification.
 #[derive(Clone, Copy, Debug)]
 pub struct L2Meta {
     /// Engine that brought the line in.
-    pub owner: Engine,
+    pub owner: EngineId,
     /// Stored request depth (§3.4.2); 0 for demand lines.
     pub depth: u8,
     /// Virtual base address of the line (rescans need a virtual trigger).
@@ -75,50 +75,13 @@ impl cdp_mem::EvictClass for L2Meta {
     /// untouched width-expansion lines (§3.4.3, the most speculative
     /// class) go first.
     fn evict_class(&self) -> u8 {
-        if self.owner == Engine::Demand || self.demand_touched {
+        if self.owner == EngineId::Demand || self.demand_touched {
             0
         } else if self.width {
             2
         } else {
             1
         }
-    }
-}
-
-fn engine_of(kind: RequestKind) -> Engine {
-    match kind {
-        RequestKind::Demand | RequestKind::PageWalk => Engine::Demand,
-        RequestKind::Stride => Engine::Stride,
-        RequestKind::Content { .. } => Engine::Content,
-        RequestKind::Markov => Engine::Markov,
-        RequestKind::Delta => Engine::Delta,
-        RequestKind::Jump => Engine::Jump,
-    }
-}
-
-/// Inverse of [`engine_of`] for sites that only kept the owning engine
-/// (L2 metadata, MSHR entries): reconstructs a request kind carrying the
-/// same perceptron features the original request hashed to.
-fn kind_of_engine(owner: Engine, depth: u8) -> RequestKind {
-    match owner {
-        Engine::Demand => RequestKind::Demand,
-        Engine::Stride => RequestKind::Stride,
-        Engine::Content => RequestKind::Content { depth },
-        Engine::Markov => RequestKind::Markov,
-        Engine::Delta => RequestKind::Delta,
-        Engine::Jump => RequestKind::Jump,
-    }
-}
-
-/// Maps a request kind onto the observability layer's engine tag.
-fn engine_tag(kind: RequestKind) -> EngineTag {
-    match kind {
-        RequestKind::Demand | RequestKind::PageWalk => EngineTag::Demand,
-        RequestKind::Stride => EngineTag::Stride,
-        RequestKind::Content { .. } => EngineTag::Content,
-        RequestKind::Markov => EngineTag::Markov,
-        RequestKind::Delta => EngineTag::Delta,
-        RequestKind::Jump => EngineTag::Jump,
     }
 }
 
@@ -404,7 +367,7 @@ impl<'w> Hierarchy<'w> {
     ) {
         let is_demand = matches!(kind, RequestKind::Demand);
         let meta = L2Meta {
-            owner: engine_of(kind),
+            owner: kind.engine(),
             depth: kind.depth(),
             vline: trigger_ea.line(),
             demand_touched: is_demand,
@@ -419,22 +382,14 @@ impl<'w> Hierarchy<'w> {
                 self.bus.schedule(at, false);
                 self.stats.writebacks += 1;
             }
-            if evicted.meta.owner != Engine::Demand && !evicted.meta.demand_touched {
-                match evicted.meta.owner {
-                    Engine::Stride => self.stats.stride.wasted_evictions += 1,
-                    Engine::Content => self.stats.content.wasted_evictions += 1,
-                    Engine::Markov => self.stats.markov.wasted_evictions += 1,
-                    Engine::Delta => self.stats.delta.wasted_evictions += 1,
-                    Engine::Jump => self.stats.jump.wasted_evictions += 1,
-                    Engine::Demand => {}
-                }
-                // A wasted prefetch is the perceptron's negative sample.
-                if let Some(p) = self.perceptron.as_mut() {
-                    p.train(
-                        evicted.meta.vline,
-                        kind_of_engine(evicted.meta.owner, evicted.meta.depth),
-                        false,
-                    );
+            if !evicted.meta.demand_touched {
+                if let Some(c) = self.stats.engine_mut(evicted.meta.owner) {
+                    c.wasted_evictions += 1;
+                    // A wasted prefetch is the perceptron's negative
+                    // sample.
+                    if let Some(p) = self.perceptron.as_mut() {
+                        p.train(evicted.meta.vline, evicted.meta.owner, false);
+                    }
                 }
             }
         }
@@ -607,7 +562,7 @@ impl<'w> Hierarchy<'w> {
                 self.l2.fill(
                     l.0,
                     L2Meta {
-                        owner: Engine::Demand,
+                        owner: EngineId::Demand,
                         depth: 0,
                         vline: VirtAddr(0),
                         demand_touched: true,
@@ -726,7 +681,7 @@ impl<'w> Hierarchy<'w> {
             self.stats.drops.in_flight += 1;
             self.trace(TraceFilter::MSHR, now, || TraceData::MshrMerge {
                 line: pline.0,
-                engine: engine_tag(req.kind),
+                engine: req.kind.engine(),
             });
             self.trace(TraceFilter::DROP, now, || TraceData::PrefetchDrop {
                 line: pline.0,
@@ -756,17 +711,12 @@ impl<'w> Hierarchy<'w> {
         if let Some(p) = self.profile.as_deref_mut() {
             self.mshrs.record_occupancy(&mut p.mshr_occupancy);
         }
-        match engine_of(req.kind) {
-            Engine::Stride => self.stats.stride.issued += 1,
-            Engine::Content => self.stats.content.issued += 1,
-            Engine::Markov => self.stats.markov.issued += 1,
-            Engine::Delta => self.stats.delta.issued += 1,
-            Engine::Jump => self.stats.jump.issued += 1,
-            Engine::Demand => {}
+        if let Some(c) = self.stats.engine_mut(req.kind.engine()) {
+            c.issued += 1;
         }
         self.trace(TraceFilter::ISSUE, now, || TraceData::PrefetchIssue {
             line: pline.0,
-            engine: engine_tag(req.kind),
+            engine: req.kind.engine(),
             depth: req.kind.depth(),
         });
     }
@@ -795,7 +745,7 @@ impl<'w> Hierarchy<'w> {
             self.l2.fill(
                 line.0,
                 L2Meta {
-                    owner: Engine::Content,
+                    owner: EngineId::Content,
                     depth: 3,
                     vline: VirtAddr(0),
                     demand_touched: false,
@@ -821,14 +771,7 @@ impl<'w> Hierarchy<'w> {
     pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
         self.l1.save_state(enc, |(), _| {});
         self.l2.save_state(enc, |m, e| {
-            e.u8(match m.owner {
-                Engine::Demand => 0,
-                Engine::Stride => 1,
-                Engine::Content => 2,
-                Engine::Markov => 3,
-                Engine::Delta => 4,
-                Engine::Jump => 5,
-            });
+            e.u8(m.owner.code());
             e.u8(m.depth);
             e.u32(m.vline.0);
             e.bool(m.demand_touched);
@@ -911,19 +854,7 @@ impl<'w> Hierarchy<'w> {
         self.l1.restore_state(dec, |_| Ok(()))?;
         self.l2.restore_state(dec, |d| {
             Ok(L2Meta {
-                owner: match d.u8("l2 meta owner")? {
-                    0 => Engine::Demand,
-                    1 => Engine::Stride,
-                    2 => Engine::Content,
-                    3 => Engine::Markov,
-                    4 => Engine::Delta,
-                    5 => Engine::Jump,
-                    _ => {
-                        return Err(SnapshotError::Corrupt {
-                            context: "l2 meta owner",
-                        })
-                    }
-                },
+                owner: EngineId::from_code(d.u8("l2 meta owner")?)?,
                 depth: d.u8("l2 meta depth")?,
                 vline: VirtAddr(d.u32("l2 meta vline")?),
                 demand_touched: d.bool("l2 meta demand_touched")?,
@@ -1043,35 +974,19 @@ impl<'w> MemoryModel for Hierarchy<'w> {
                     meta.dirty = true;
                 }
                 if first_touch {
-                    if owner != Engine::Demand {
+                    if owner != EngineId::Demand {
                         if let Some(p) = self.profile.as_deref_mut() {
                             // Full latency mask: issue-to-use spans the
                             // whole fill plus the resident dwell time.
                             p.prefetch_to_use.record(now.saturating_sub(fill_issued_at));
                         }
                     }
-                    match owner {
-                        Engine::Stride => {
-                            self.stats.stride.useful_full += 1;
-                            self.stats.distribution.stride_full += 1;
-                        }
-                        Engine::Content => {
-                            self.stats.content.useful_full += 1;
-                            self.stats.distribution.cpf_full += 1;
-                        }
-                        Engine::Markov => {
-                            self.stats.markov.useful_full += 1;
-                            self.stats.distribution.markov_full += 1;
-                        }
-                        Engine::Delta => self.stats.delta.useful_full += 1,
-                        Engine::Jump => self.stats.jump.useful_full += 1,
-                        Engine::Demand => {}
-                    }
-                    // A fully-masked prefetch is the perceptron's positive
-                    // sample.
-                    if owner != Engine::Demand {
+                    if let Some(c) = self.stats.engine_mut(owner) {
+                        c.useful_full += 1;
+                        // A fully-masked prefetch is the perceptron's
+                        // positive sample.
                         if let Some(p) = self.perceptron.as_mut() {
-                            p.train(vaddr, kind_of_engine(owner, stored_depth), true);
+                            p.train(vaddr, owner, true);
                         }
                     }
                 }
@@ -1114,7 +1029,7 @@ impl<'w> MemoryModel for Hierarchy<'w> {
                     self.stats.l2_miss_merged += 1;
                     self.trace(TraceFilter::MSHR, now, || TraceData::MshrMerge {
                         line: pline.0,
-                        engine: EngineTag::Demand,
+                        engine: EngineId::Demand,
                     });
                     // A prefetch whose bus transfer has not started yet is
                     // re-arbitrated at demand priority (§3.5 promotion):
@@ -1135,27 +1050,13 @@ impl<'w> MemoryModel for Hierarchy<'w> {
                             // prefetch was still in flight.
                             p.prefetch_to_use.record(now.saturating_sub(inflight.issued_at));
                         }
-                        match engine_of(inflight.kind) {
-                            Engine::Stride => {
-                                self.stats.stride.useful_partial += 1;
-                                self.stats.distribution.stride_partial += 1;
-                            }
-                            Engine::Content => {
-                                self.stats.content.useful_partial += 1;
-                                self.stats.distribution.cpf_partial += 1;
-                            }
-                            Engine::Markov => {
-                                self.stats.markov.useful_partial += 1;
-                                self.stats.distribution.markov_partial += 1;
-                            }
-                            Engine::Delta => self.stats.delta.useful_partial += 1,
-                            Engine::Jump => self.stats.jump.useful_partial += 1,
-                            Engine::Demand => {}
+                        if let Some(c) = self.stats.engine_mut(inflight.kind.engine()) {
+                            c.useful_partial += 1;
                         }
                         // A partially-masked prefetch still counts as a
                         // positive perceptron sample.
                         if let Some(p) = self.perceptron.as_mut() {
-                            p.train(vaddr, inflight.kind, true);
+                            p.train(vaddr, inflight.kind.engine(), true);
                         }
                         self.mshrs.promote(pline, RequestKind::Demand);
                     }
@@ -1166,7 +1067,6 @@ impl<'w> MemoryModel for Hierarchy<'w> {
                         self.pending_dirty.insert(pline.0);
                     }
                     self.stats.l2_demand_misses += 1;
-                    self.stats.distribution.unmasked_misses += 1;
                     // An unmasked demand miss on a line the perceptron
                     // rejected is a false negative: reopen the gate.
                     if let Some(p) = self.perceptron.as_mut() {

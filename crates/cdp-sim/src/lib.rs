@@ -64,6 +64,6 @@ pub use metrics::{accuracy, coverage, geomean, mean};
 pub use observe::{MetricsWindow, Observation, ObsEntry, ObsSink};
 pub use persist::{decode_result, encode_result, RESULT_VERSION};
 pub use runner::build_workload;
-pub use stats::{DropCounters, Engine, EngineCounters, MemStats, RequestDistribution};
+pub use stats::{DropCounters, EngineCounters, MemStats, RequestDistribution};
 pub use status::{install_status_sink, status_sink, ResultSource, StatusSink};
 pub use system::{set_fast_forward, speedup, RunLength, RunStats, SimSession, Simulator};

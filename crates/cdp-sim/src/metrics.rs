@@ -8,14 +8,16 @@
 //! the content counters are *natively* adjusted: they only ever credit
 //! lines the stride engine did not already cover.
 
-use crate::stats::{Engine, EngineCounters};
+use cdp_types::EngineId;
+
+use crate::stats::EngineCounters;
 use crate::system::RunStats;
 
 /// Coverage (Equation 1): prefetch hits / misses without prefetching.
 ///
 /// `baseline` must be a run of the same workload without the engine under
 /// measurement (for content coverage: the stride-only baseline).
-pub fn coverage(variant: &RunStats, baseline: &RunStats, engine: Engine) -> f64 {
+pub fn coverage(variant: &RunStats, baseline: &RunStats, engine: EngineId) -> f64 {
     let denom = baseline.mem.l2_demand_misses;
     if denom == 0 {
         return 0.0;
@@ -28,7 +30,7 @@ pub fn coverage(variant: &RunStats, baseline: &RunStats, engine: Engine) -> f64 
 
 /// Accuracy (Equation 2): useful prefetches / prefetches issued.
 /// Demand traffic has no prefetch counters and reports 0.
-pub fn accuracy(variant: &RunStats, engine: Engine) -> f64 {
+pub fn accuracy(variant: &RunStats, engine: EngineId) -> f64 {
     variant.mem.engine(engine).map_or(0.0, EngineCounters::accuracy)
 }
 
@@ -54,7 +56,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{EngineCounters, MemStats};
+    use crate::stats::MemStats;
 
     fn run_with(content_useful: u64, content_issued: u64, misses: u64) -> RunStats {
         RunStats {
@@ -75,15 +77,15 @@ mod tests {
     fn coverage_against_baseline() {
         let base = run_with(0, 0, 200);
         let variant = run_with(50, 100, 120);
-        assert!((coverage(&variant, &base, Engine::Content) - 0.25).abs() < 1e-12);
-        assert!((accuracy(&variant, Engine::Content) - 0.5).abs() < 1e-12);
+        assert!((coverage(&variant, &base, EngineId::Content) - 0.25).abs() < 1e-12);
+        assert!((accuracy(&variant, EngineId::Content) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn zero_baseline_misses() {
         let base = run_with(0, 0, 0);
         let variant = run_with(5, 10, 0);
-        assert_eq!(coverage(&variant, &base, Engine::Content), 0.0);
+        assert_eq!(coverage(&variant, &base, EngineId::Content), 0.0);
     }
 
     #[test]
@@ -97,20 +99,20 @@ mod tests {
             wasted_evictions: 8,
         };
         // Markov metrics read the Markov engine's counters, not content's.
-        assert!((coverage(&variant, &base, Engine::Markov) - 0.1).abs() < 1e-12);
-        assert!((accuracy(&variant, Engine::Markov) - 0.5).abs() < 1e-12);
+        assert!((coverage(&variant, &base, EngineId::Markov) - 0.1).abs() < 1e-12);
+        assert!((accuracy(&variant, EngineId::Markov) - 0.5).abs() < 1e-12);
         // Content metrics over the same run stay on the content counters.
-        assert!((coverage(&variant, &base, Engine::Content) - 0.025).abs() < 1e-12);
-        assert!((accuracy(&variant, Engine::Content) - 0.5).abs() < 1e-12);
+        assert!((coverage(&variant, &base, EngineId::Content) - 0.025).abs() < 1e-12);
+        assert!((accuracy(&variant, EngineId::Content) - 0.5).abs() < 1e-12);
         // Demand has no prefetch counters: both metrics report 0.
-        assert_eq!(coverage(&variant, &base, Engine::Demand), 0.0);
-        assert_eq!(accuracy(&variant, Engine::Demand), 0.0);
+        assert_eq!(coverage(&variant, &base, EngineId::Demand), 0.0);
+        assert_eq!(accuracy(&variant, EngineId::Demand), 0.0);
     }
 
     #[test]
     fn markov_accuracy_with_no_issues_is_zero() {
         let variant = run_with(0, 0, 100);
-        assert_eq!(accuracy(&variant, Engine::Markov), 0.0);
+        assert_eq!(accuracy(&variant, EngineId::Markov), 0.0);
     }
 
     #[test]

@@ -412,6 +412,8 @@ mod tests {
         s.core.mispredicts = 77;
         s.mem.l2_demand_misses = 1_234;
         s.mem.stride.issued = 500;
+        s.mem.content.useful_full = 300;
+        s.mem.markov.useful_partial = 4;
         s.content = Some(ContentStats {
             fills_scanned: 10,
             rescans: 2,
@@ -546,6 +548,39 @@ mod tests {
             match decode_result(&bytes[..cut]) {
                 Err(_) => {}
                 Ok(_) => panic!("truncation at {cut} must not decode"),
+            }
+        }
+    }
+
+    #[test]
+    fn distribution_slot_disagreeing_with_its_counter_is_refused() {
+        let stats = sample_stats();
+        let bytes = encode_result(&stats, None);
+        let mut mem = Enc::new();
+        stats.mem.save_state(&mut mem);
+        let mem = mem.into_bytes();
+        let start = bytes
+            .windows(mem.len())
+            .position(|w| w == mem.as_slice())
+            .expect("the payload holds the memory statistics");
+        // The seven Figure 10 slots precede the last two memory counters
+        // (injected_pollution, writebacks).
+        let slots = start + mem.len() - 2 * 8 - 7 * 8;
+        let names = [
+            "dist stride_full",
+            "dist stride_partial",
+            "dist cpf_full",
+            "dist cpf_partial",
+            "dist markov_full",
+            "dist markov_partial",
+            "dist unmasked_misses",
+        ];
+        for (i, name) in names.into_iter().enumerate() {
+            let mut bad = bytes.clone();
+            bad[slots + 8 * i] ^= 1;
+            match decode_result(&bad) {
+                Err(SnapshotError::Corrupt { context }) => assert_eq!(context, name),
+                other => panic!("patched {name} must be refused, got {other:?}"),
             }
         }
     }

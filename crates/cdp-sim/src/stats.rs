@@ -5,22 +5,7 @@
 //! timeliness classification of Figure 10 (full vs partial latency
 //! masking per engine), and drop accounting for the arbiters.
 
-/// Which engine owns a line / request, for classification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// Demand traffic (no prefetcher).
-    Demand,
-    /// The stride prefetcher.
-    Stride,
-    /// The content-directed prefetcher.
-    Content,
-    /// The Markov prefetcher.
-    Markov,
-    /// The delta-space Markov prefetcher.
-    Delta,
-    /// The pointer-chase/jump-pointer prefetcher.
-    Jump,
-}
+use cdp_types::{EngineId, SnapshotError};
 
 /// Per-engine prefetch counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,11 +70,12 @@ impl DropCounters {
     }
 }
 
-/// The Figure 10 classification of demand L2 load requests.
+/// The Figure 10 classification of demand L2 load requests, a view over
+/// the engine counters ([`MemStats::distribution`]).
 ///
 /// Denominator: demand accesses that *would have missed* the L2 without
 /// prefetching — i.e. raw misses plus demands served (fully or partially)
-/// by a prefetched line.
+/// by any engine's prefetched line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestDistribution {
     /// Demand hits on stride-prefetched resident lines.
@@ -100,10 +86,10 @@ pub struct RequestDistribution {
     pub cpf_full: u64,
     /// Demands that joined in-flight content prefetches.
     pub cpf_partial: u64,
-    /// Demand hits on Markov-prefetched resident lines.
-    pub markov_full: u64,
-    /// Demands that joined in-flight Markov prefetches.
-    pub markov_partial: u64,
+    /// Demand hits on Markov-, delta- or jump-prefetched resident lines.
+    pub other_full: u64,
+    /// Demands that joined in-flight Markov, delta or jump prefetches.
+    pub other_partial: u64,
     /// Unmasked demand misses.
     pub unmasked_misses: u64,
 }
@@ -115,15 +101,15 @@ impl RequestDistribution {
             + self.stride_partial
             + self.cpf_full
             + self.cpf_partial
-            + self.markov_full
-            + self.markov_partial
+            + self.other_full
+            + self.other_partial
             + self.unmasked_misses
     }
 
     /// Fractions in Figure 10 order:
     /// `[str-full, str-part, cpf-full, cpf-part, ul2-miss]`
-    /// (Markov folded into the miss column when present; the paper's
-    /// Figure 10 has no Markov configuration).
+    /// (the other engines fold into the miss column when present; the
+    /// paper's Figure 10 has only stride and content).
     pub fn fractions(&self) -> [f64; 5] {
         let t = self.total().max(1) as f64;
         [
@@ -131,7 +117,7 @@ impl RequestDistribution {
             self.stride_partial as f64 / t,
             self.cpf_full as f64 / t,
             self.cpf_partial as f64 / t,
-            (self.unmasked_misses + self.markov_full + self.markov_partial) as f64 / t,
+            (self.unmasked_misses + self.other_full + self.other_partial) as f64 / t,
         ]
     }
 
@@ -201,8 +187,6 @@ pub struct MemStats {
     pub jump: EngineCounters,
     /// Prefetch drop accounting.
     pub drops: DropCounters,
-    /// Figure 10 classification.
-    pub distribution: RequestDistribution,
     /// Pollution-study injections (bad prefetches forced into the L2).
     pub injected_pollution: u64,
     /// Dirty lines written back on eviction (0 unless
@@ -221,17 +205,60 @@ impl MemStats {
         }
     }
 
-    /// Counters for one engine; `None` for [`Engine::Demand`], which has
-    /// no prefetch counters.
-    pub fn engine(&self, e: Engine) -> Option<&EngineCounters> {
+    /// Counters for one engine; `None` for [`EngineId::Demand`], which
+    /// has no prefetch counters.
+    pub fn engine(&self, e: EngineId) -> Option<&EngineCounters> {
         match e {
-            Engine::Stride => Some(&self.stride),
-            Engine::Content => Some(&self.content),
-            Engine::Markov => Some(&self.markov),
-            Engine::Delta => Some(&self.delta),
-            Engine::Jump => Some(&self.jump),
-            Engine::Demand => None,
+            EngineId::Stride => Some(&self.stride),
+            EngineId::Content => Some(&self.content),
+            EngineId::Markov => Some(&self.markov),
+            EngineId::Delta => Some(&self.delta),
+            EngineId::Jump => Some(&self.jump),
+            EngineId::Demand => None,
         }
+    }
+
+    /// Mutable [`MemStats::engine`].
+    pub fn engine_mut(&mut self, e: EngineId) -> Option<&mut EngineCounters> {
+        match e {
+            EngineId::Stride => Some(&mut self.stride),
+            EngineId::Content => Some(&mut self.content),
+            EngineId::Markov => Some(&mut self.markov),
+            EngineId::Delta => Some(&mut self.delta),
+            EngineId::Jump => Some(&mut self.jump),
+            EngineId::Demand => None,
+        }
+    }
+
+    /// The Figure 10 classification: every demand that would have missed
+    /// the L2 without prefetching, by the engine that masked it.
+    pub fn distribution(&self) -> RequestDistribution {
+        let other = [self.markov, self.delta, self.jump];
+        RequestDistribution {
+            stride_full: self.stride.useful_full,
+            stride_partial: self.stride.useful_partial,
+            cpf_full: self.content.useful_full,
+            cpf_partial: self.content.useful_partial,
+            other_full: other.iter().map(|c| c.useful_full).sum(),
+            other_partial: other.iter().map(|c| c.useful_partial).sum(),
+            unmasked_misses: self.l2_demand_misses,
+        }
+    }
+
+    /// The serialized form's seven Figure 10 slots, with their decode
+    /// contexts. Each duplicates one counter, which keeps the snapshot
+    /// and result layouts fixed and lets a restore check the counters
+    /// against them.
+    fn distribution_slots(&self) -> [(u64, &'static str); 7] {
+        [
+            (self.stride.useful_full, "dist stride_full"),
+            (self.stride.useful_partial, "dist stride_partial"),
+            (self.content.useful_full, "dist cpf_full"),
+            (self.content.useful_partial, "dist cpf_partial"),
+            (self.markov.useful_full, "dist markov_full"),
+            (self.markov.useful_partial, "dist markov_partial"),
+            (self.l2_demand_misses, "dist unmasked_misses"),
+        ]
     }
 }
 
@@ -248,11 +275,8 @@ impl EngineCounters {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
+    /// Returns a typed [`SnapshotError`] on truncation.
+    pub fn restore_state(&mut self, dec: &mut cdp_snap::Dec<'_>) -> Result<(), SnapshotError> {
         self.issued = dec.u64("engine issued")?;
         self.useful_full = dec.u64("engine useful_full")?;
         self.useful_partial = dec.u64("engine useful_partial")?;
@@ -275,48 +299,13 @@ impl DropCounters {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
+    /// Returns a typed [`SnapshotError`] on truncation.
+    pub fn restore_state(&mut self, dec: &mut cdp_snap::Dec<'_>) -> Result<(), SnapshotError> {
         self.resident = dec.u64("drops resident")?;
         self.in_flight = dec.u64("drops in_flight")?;
         self.unmapped = dec.u64("drops unmapped")?;
         self.queue_full = dec.u64("drops queue_full")?;
         self.too_deep = dec.u64("drops too_deep")?;
-        Ok(())
-    }
-}
-
-impl RequestDistribution {
-    /// Serializes the counters (declaration order).
-    pub fn save_state(&self, enc: &mut cdp_snap::Enc) {
-        enc.u64(self.stride_full);
-        enc.u64(self.stride_partial);
-        enc.u64(self.cpf_full);
-        enc.u64(self.cpf_partial);
-        enc.u64(self.markov_full);
-        enc.u64(self.markov_partial);
-        enc.u64(self.unmasked_misses);
-    }
-
-    /// Restores counters written by [`RequestDistribution::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
-        self.stride_full = dec.u64("dist stride_full")?;
-        self.stride_partial = dec.u64("dist stride_partial")?;
-        self.cpf_full = dec.u64("dist cpf_full")?;
-        self.cpf_partial = dec.u64("dist cpf_partial")?;
-        self.markov_full = dec.u64("dist markov_full")?;
-        self.markov_partial = dec.u64("dist markov_partial")?;
-        self.unmasked_misses = dec.u64("dist unmasked_misses")?;
         Ok(())
     }
 }
@@ -343,7 +332,9 @@ impl MemStats {
         self.delta.save_state(enc);
         self.jump.save_state(enc);
         self.drops.save_state(enc);
-        self.distribution.save_state(enc);
+        for (v, _) in self.distribution_slots() {
+            enc.u64(v);
+        }
         enc.u64(self.injected_pollution);
         enc.u64(self.writebacks);
     }
@@ -352,11 +343,10 @@ impl MemStats {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`cdp_types::SnapshotError`] on truncation.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut cdp_snap::Dec<'_>,
-    ) -> Result<(), cdp_types::SnapshotError> {
+    /// Returns a typed [`SnapshotError`] on truncation, and
+    /// [`SnapshotError::Corrupt`] when a distribution slot disagrees with
+    /// the counter it duplicates.
+    pub fn restore_state(&mut self, dec: &mut cdp_snap::Dec<'_>) -> Result<(), SnapshotError> {
         self.accesses = dec.u64("mem accesses")?;
         self.l1_hits = dec.u64("mem l1_hits")?;
         self.l1_misses = dec.u64("mem l1_misses")?;
@@ -376,7 +366,11 @@ impl MemStats {
         self.delta.restore_state(dec)?;
         self.jump.restore_state(dec)?;
         self.drops.restore_state(dec)?;
-        self.distribution.restore_state(dec)?;
+        for (want, context) in self.distribution_slots() {
+            if dec.u64(context)? != want {
+                return Err(SnapshotError::Corrupt { context });
+            }
+        }
         self.injected_pollution = dec.u64("mem injected_pollution")?;
         self.writebacks = dec.u64("mem writebacks")?;
         Ok(())
@@ -409,8 +403,8 @@ mod tests {
             stride_partial: 10,
             cpf_full: 20,
             cpf_partial: 10,
-            markov_full: 0,
-            markov_partial: 0,
+            other_full: 0,
+            other_partial: 0,
             unmasked_misses: 30,
         };
         let f = d.fractions();
@@ -444,12 +438,43 @@ mod tests {
 
     #[test]
     fn engine_lookup_rejects_demand() {
-        let s = MemStats::default();
-        assert!(s.engine(Engine::Demand).is_none());
-        assert!(s.engine(Engine::Stride).is_some());
-        assert!(s.engine(Engine::Content).is_some());
-        assert!(s.engine(Engine::Markov).is_some());
-        assert!(s.engine(Engine::Delta).is_some());
-        assert!(s.engine(Engine::Jump).is_some());
+        let mut s = MemStats::default();
+        for e in EngineId::ALL {
+            assert_eq!(s.engine(e).is_none(), e == EngineId::Demand, "{e:?}");
+            if let Some(c) = s.engine_mut(e) {
+                c.issued = u64::from(e.code());
+            }
+        }
+        for e in EngineId::ALL {
+            if let Some(c) = s.engine(e) {
+                assert_eq!(
+                    c.issued,
+                    u64::from(e.code()),
+                    "{e:?}: one counter set per engine"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn distribution_counts_every_engine() {
+        let mut s = MemStats {
+            l2_demand_misses: 7,
+            ..MemStats::default()
+        };
+        for (i, e) in EngineId::ALL.into_iter().enumerate() {
+            if let Some(c) = s.engine_mut(e) {
+                c.useful_full = 10 * i as u64;
+                c.useful_partial = i as u64;
+            }
+        }
+        let d = s.distribution();
+        let useful: u64 = EngineId::ALL
+            .iter()
+            .filter_map(|&e| s.engine(e))
+            .map(EngineCounters::useful)
+            .sum();
+        assert_eq!(d.total(), s.l2_demand_misses + useful);
+        assert_eq!((d.other_full, d.other_partial), (30 + 40 + 50, 3 + 4 + 5));
     }
 }

@@ -69,7 +69,11 @@ fn accounting_partitions() {
             s.l2_demand_hits + s.l2_miss_merged + s.l2_demand_misses
         );
         assert!(s.content.useful() <= s.content.issued);
-        assert_eq!(s.distribution.unmasked_misses, s.l2_demand_misses);
+        // Figure 10: a fully masked demand is an L2 hit, a partially
+        // masked one merged into an in-flight prefetch.
+        let d = s.distribution();
+        assert!(d.stride_full + d.cpf_full + d.other_full <= s.l2_demand_hits);
+        assert!(d.stride_partial + d.cpf_partial + d.other_partial <= s.l2_miss_merged);
     }
 }
 

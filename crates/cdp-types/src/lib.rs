@@ -39,7 +39,7 @@ pub use config::{
     ReplacementPolicy, StreamConfig, StrideConfig, SystemConfig, TlbConfig, TraceConfig,
     TraceFilter, VamConfig, PERCEPTRON_FEATURES,
 };
-pub use request::{AccessKind, Priority, RequestKind, MAX_REQUEST_DEPTH};
+pub use request::{AccessKind, EngineId, Priority, RequestKind, MAX_REQUEST_DEPTH};
 pub use validate::ConfigError;
 
 /// Cache line size in bytes (Table 1: 64 bytes).

@@ -10,6 +10,8 @@
 
 use core::fmt;
 
+use crate::SnapshotError;
+
 /// Maximum representable request depth.
 ///
 /// The paper stores the depth in the L2 line metadata using two bits
@@ -17,6 +19,72 @@ use core::fmt;
 /// which bounds the encodable depth at 3. Configurations with larger depth
 /// thresholds (Figure 9 sweeps up to 9) use more bits; we allow up to 15.
 pub const MAX_REQUEST_DEPTH: u8 = 15;
+
+/// Which engine owns a request or an L2 line: demand traffic or one of
+/// the prefetchers. The one spelling of engine identity — request
+/// classification, per-engine counters, trace events, L2 owner codes in
+/// snapshots and the perceptron's engine feature all use it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum EngineId {
+    /// Demand traffic (loads, stores and page walks).
+    Demand,
+    /// The stride prefetcher.
+    Stride,
+    /// The content-directed prefetcher.
+    Content,
+    /// The Markov prefetcher.
+    Markov,
+    /// The delta-space Markov prefetcher.
+    Delta,
+    /// The pointer-chase/jump-pointer prefetcher.
+    Jump,
+}
+
+impl EngineId {
+    /// Every engine, in [`EngineId::code`] order.
+    pub const ALL: [EngineId; 6] = [
+        EngineId::Demand,
+        EngineId::Stride,
+        EngineId::Content,
+        EngineId::Markov,
+        EngineId::Delta,
+        EngineId::Jump,
+    ];
+
+    /// The engine's stable byte code (its position in [`EngineId::ALL`]).
+    /// Snapshots and trace payloads store it, and the perceptron hashes
+    /// it, so the numbering must never change.
+    #[inline]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The engine with byte code `code`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] for a code no engine has.
+    pub fn from_code(code: u8) -> Result<Self, SnapshotError> {
+        Self::ALL
+            .get(usize::from(code))
+            .copied()
+            .ok_or(SnapshotError::Corrupt {
+                context: "engine code",
+            })
+    }
+
+    /// Lower-case name, as trace events spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineId::Demand => "demand",
+            EngineId::Stride => "stride",
+            EngineId::Content => "content",
+            EngineId::Markov => "markov",
+            EngineId::Delta => "delta",
+            EngineId::Jump => "jump",
+        }
+    }
+}
 
 /// What kind of agent generated a memory request.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -48,6 +116,20 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
+    /// The engine that issued this request; page walks are demand
+    /// traffic.
+    #[inline]
+    pub fn engine(self) -> EngineId {
+        match self {
+            RequestKind::Demand | RequestKind::PageWalk => EngineId::Demand,
+            RequestKind::Stride => EngineId::Stride,
+            RequestKind::Content { .. } => EngineId::Content,
+            RequestKind::Markov => EngineId::Markov,
+            RequestKind::Delta => EngineId::Delta,
+            RequestKind::Jump => EngineId::Jump,
+        }
+    }
+
     /// The request depth: 0 for non-speculative traffic, the chain depth for
     /// content prefetches, 1 for other prefetchers.
     #[inline]
@@ -89,13 +171,9 @@ impl RequestKind {
 impl fmt::Display for RequestKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RequestKind::Demand => write!(f, "demand"),
             RequestKind::PageWalk => write!(f, "pagewalk"),
-            RequestKind::Stride => write!(f, "stride"),
             RequestKind::Content { depth } => write!(f, "content(d{depth})"),
-            RequestKind::Markov => write!(f, "markov"),
-            RequestKind::Delta => write!(f, "delta"),
-            RequestKind::Jump => write!(f, "jump"),
+            kind => f.write_str(kind.engine().name()),
         }
     }
 }
@@ -199,8 +277,45 @@ mod tests {
     }
 
     #[test]
+    fn engine_codes_round_trip_and_keep_their_numbering() {
+        for (i, e) in EngineId::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(e.code()), i);
+            assert_eq!(EngineId::from_code(e.code()), Ok(e));
+        }
+        assert_eq!(
+            EngineId::from_code(6),
+            Err(SnapshotError::Corrupt {
+                context: "engine code"
+            })
+        );
+        let names: Vec<&str> = EngineId::ALL.iter().map(|e| e.name()).collect();
+        assert_eq!(
+            names,
+            ["demand", "stride", "content", "markov", "delta", "jump"]
+        );
+    }
+
+    #[test]
+    fn request_kinds_map_to_their_engine() {
+        for (kind, engine) in [
+            (RequestKind::Demand, EngineId::Demand),
+            (RequestKind::PageWalk, EngineId::Demand),
+            (RequestKind::Stride, EngineId::Stride),
+            (RequestKind::Content { depth: 1 }, EngineId::Content),
+            (RequestKind::Content { depth: 9 }, EngineId::Content),
+            (RequestKind::Markov, EngineId::Markov),
+            (RequestKind::Delta, EngineId::Delta),
+            (RequestKind::Jump, EngineId::Jump),
+        ] {
+            assert_eq!(kind.engine(), engine, "{kind}");
+        }
+    }
+
+    #[test]
     fn display_forms() {
         assert_eq!(RequestKind::Content { depth: 2 }.to_string(), "content(d2)");
+        assert_eq!(RequestKind::PageWalk.to_string(), "pagewalk");
+        assert_eq!(RequestKind::Demand.to_string(), "demand");
         assert_eq!(RequestKind::Delta.to_string(), "delta");
         assert_eq!(RequestKind::Jump.to_string(), "jump");
         assert_eq!(Priority(3).to_string(), "p3");

@@ -56,7 +56,7 @@ fn main() {
         cdp.mem.content.useful(),
         cdp.mem.content.accuracy() * 100.0
     );
-    let f = cdp.mem.distribution.fractions();
+    let f = cdp.mem.distribution().fractions();
     println!(
         "UL2 demand classification: stride-full {:.0}%  stride-part {:.0}%  cpf-full {:.0}%  cpf-part {:.0}%  miss {:.0}%",
         f[0] * 100.0, f[1] * 100.0, f[2] * 100.0, f[3] * 100.0, f[4] * 100.0

@@ -7,8 +7,8 @@
 //! cargo run --release --example tuning_sweep
 //! ```
 
-use cdp::sim::{accuracy, coverage, speedup, Engine, RunLength, Simulator};
-use cdp::types::{ContentConfig, SystemConfig, VamConfig};
+use cdp::sim::{accuracy, coverage, speedup, RunLength, Simulator};
+use cdp::types::{ContentConfig, EngineId, SystemConfig, VamConfig};
 use cdp::workloads::suite::Benchmark;
 
 fn main() {
@@ -40,8 +40,8 @@ fn main() {
         let r = Simulator::new(cfg).run(&workload);
         println!(
             "  {n:<3}  {:>7.1}%  {:>7.1}%  {:>7.3}",
-            coverage(&r, &base, Engine::Content) * 100.0,
-            accuracy(&r, Engine::Content).min(1.0) * 100.0,
+            coverage(&r, &base, EngineId::Content) * 100.0,
+            accuracy(&r, EngineId::Content).min(1.0) * 100.0,
             speedup(&base, &r)
         );
     }
@@ -59,7 +59,7 @@ fn main() {
         println!(
             "  {n}  {:>9}  {:>7.1}%  {:>7.3}",
             r.mem.content.issued,
-            accuracy(&r, Engine::Content).min(1.0) * 100.0,
+            accuracy(&r, EngineId::Content).min(1.0) * 100.0,
             speedup(&base, &r)
         );
     }

@@ -2,8 +2,8 @@
 //! simulator, checking accounting invariants that no single crate can see
 //! on its own.
 
-use cdp::sim::{speedup, Simulator};
-use cdp::types::{ContentConfig, SystemConfig};
+use cdp::sim::{speedup, EngineCounters, Simulator};
+use cdp::types::{ContentConfig, DeltaConfig, EngineId, JumpConfig, SystemConfig};
 use cdp::workloads::suite::Benchmark;
 use cdp_testutil::smoke;
 
@@ -50,20 +50,42 @@ fn memory_accounting_invariants() {
         // Useful prefetches can never exceed issued ones within a window
         // that starts empty (no warm-up here).
         assert!(m.content.useful() <= m.content.issued, "{b}");
-        // Figure 10 classification covers exactly the would-miss demands.
-        assert_eq!(
-            m.distribution.total(),
-            m.distribution.stride_full
-                + m.distribution.stride_partial
-                + m.distribution.cpf_full
-                + m.distribution.cpf_partial
-                + m.distribution.markov_full
-                + m.distribution.markov_partial
-                + m.distribution.unmasked_misses,
-            "{b}"
-        );
-        assert_eq!(m.distribution.unmasked_misses, m.l2_demand_misses, "{b}");
     }
+}
+
+/// Figure 10's denominator is every demand that would have missed the L2
+/// without prefetching: the unmasked misses plus every engine's useful
+/// prefetches, whichever engines the configuration runs.
+#[test]
+fn figure10_counts_every_would_miss_demand() {
+    let configs = [
+        ("stride", SystemConfig::asplos2002()),
+        ("cdp", SystemConfig::with_content()),
+        (
+            "delta",
+            SystemConfig::with_delta(DeltaConfig::pangloss(16384)),
+        ),
+        ("jump", SystemConfig::with_jump(JumpConfig::sized(16384))),
+    ];
+    let mut delta_useful = 0;
+    for b in Benchmark::all() {
+        let w = b.build(smoke(), 11);
+        for (name, cfg) in &configs {
+            let m = Simulator::new(cfg.clone()).run(&w).mem;
+            let useful: u64 = EngineId::ALL
+                .iter()
+                .filter_map(|&e| m.engine(e))
+                .map(EngineCounters::useful)
+                .sum();
+            assert_eq!(
+                m.distribution().total(),
+                m.l2_demand_misses + useful,
+                "{b} under {name}"
+            );
+            delta_useful += m.delta.useful();
+        }
+    }
+    assert!(delta_useful > 0, "the delta engine masked no demand");
 }
 
 #[test]
