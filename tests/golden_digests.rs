@@ -21,7 +21,7 @@
 //! ```
 
 use cdp::experiments::tournament::entrants;
-use cdp::sim::runner::{build_workload, with_warmup};
+use cdp::sim::runner::{build_workload, with_warmup, DEFAULT_SEED};
 use cdp::sim::{encode_result, Simulator};
 use cdp::snap::Fnv1a;
 use cdp::types::{ObsConfig, SystemConfig, TraceConfig, TraceFilter};
@@ -127,6 +127,27 @@ fn traced_perceptron_snapshot_matches_golden_digest() {
     }
     let bytes = session.snapshot_into(Vec::new());
     check(&[("snapshot/cdp+perceptron/slsb".into(), digest(&bytes))]);
+}
+
+/// One mid-run snapshot of a streamed CDP cell: besides the core and
+/// hierarchy, its bytes hold the `Feed::Stream` window and the
+/// generator's cursor, which no materialized cell serializes.
+#[test]
+fn streamed_cdp_snapshot_matches_golden_digest() {
+    let scale = smoke();
+    let w = Benchmark::VerilogGate.build_with_engine(scale, DEFAULT_SEED, true);
+    assert!(w.is_streamed());
+    let obs = ObsConfig {
+        metrics_window: Some(1024),
+        ..ObsConfig::default()
+    };
+    let sim = Simulator::new(with_warmup(SystemConfig::with_content(), scale));
+    let mut session = sim.session(&w, Some(&obs));
+    while session.retired() < scale.target_uops as u64 / 3 {
+        assert!(!session.step().expect("the cell runs"), "finished early");
+    }
+    let bytes = session.snapshot_into(Vec::new());
+    check(&[("snapshot/cdp/verilog-gate-streamed".into(), digest(&bytes))]);
 }
 
 #[test]
