@@ -8,7 +8,8 @@
 //!   fetch until the branch executes, plus the 28-cycle redirect penalty.
 //! * **Issue/execute** — each cycle, the oldest ready uops (all source
 //!   registers available) issue, bounded by `issue_width` and by the
-//!   integer/memory/FP unit pools. Loads and stores call into the
+//!   integer/memory/FP unit pools (see *Issue by register wakeup* below).
+//!   Loads and stores call into the
 //!   [`MemoryModel`]; their completion cycle is whatever the memory system
 //!   answers, so cache misses, bus contention, and prefetch hits all
 //!   surface as dataflow delay. Stores release the pipeline at issue + 1
@@ -21,8 +22,45 @@
 //! The model skips idle cycles (jumping to the next completion event), so
 //! long memory stalls cost simulation time proportional to work, not to
 //! stalled cycles.
+//!
+//! # Issue by register wakeup
+//!
+//! The issue stage behaves as a scan of every unissued ROB entry, oldest
+//! first, that reads each entry's sources from the register scoreboard
+//! (`reg_ready`) at the moment it is visited. It never walks the ROB,
+//! though. On pointer-chasing traffic the ROB sits full of uops waiting on
+//! one load, and rescanning all of them every productive cycle cost more
+//! host time than the rest of the core together (PERF.md).
+//!
+//! * Every unissued entry sets its bit in `readers[r]` for each source
+//!   register `r`. The bit is slot `idx & 127` of its program index, so
+//!   retiring the head moves no bits; `rotate_right(head slot)` turns a
+//!   slot mask into ROB positions. `pending_regs` holds the registers whose
+//!   ready cycle may still lie ahead.
+//! * A pass visits only `unissued & !(readers of pending registers)`, in
+//!   ascending position order, so issue order and `MemoryModel::access`
+//!   order are those of the full scan. A write made in the pass drops its
+//!   younger readers from the pass, and a zero-latency write re-admits
+//!   them. Each visit still checks readiness against the scoreboard, so a
+//!   re-admitted entry with another source pending is skipped.
+//! * After a pass that reached the end of the ROB without finding a ready
+//!   entry blocked on a busy unit, `issue_idle_until` is the earliest
+//!   cycle any entry left waiting
+//!   can become ready. That is the same value the scan would compute: the
+//!   minimum of the pass's own completions and of every waiting entry's
+//!   ready cycle as seen at its visit. It is found by walking the pending
+//!   registers in ready-cycle order. Entries younger than a pass write to
+//!   one of their sources are left out of the walk, because their ready
+//!   cycle is at least that write's completion. The others saw the
+//!   scoreboard as it stood when the pass began.
+//! * `readers` and `pending_regs` are derived state. `restore_state`
+//!   rebuilds them from the ROB and the scoreboard, so snapshot bytes are
+//!   unchanged.
+//!
+//! The masks have one bit per ROB entry, so a ROB holds at most
+//! [`cdp_types::MAX_ROB_SIZE`] (128) entries.
 
-use cdp_types::{AccessKind, CoreConfig};
+use cdp_types::{AccessKind, CoreConfig, MAX_ROB_SIZE};
 
 use crate::feed::{Feed, UopSource};
 use crate::gshare::Gshare;
@@ -82,8 +120,8 @@ const NO_SQ: u64 = u64::MAX;
 /// check is two unconditional loads and a `max` — no branches.
 const NO_REG: u8 = NUM_REGS as u8;
 
-/// Uop classes, mirrored from [`UopKind`] so the per-cycle issue scan
-/// never has to chase `program.uops` for entries that cannot issue.
+/// Uop classes, mirrored from [`UopKind`] so the issue stage never has
+/// to chase `program.uops` for entries that cannot issue.
 const CLASS_ALU: u8 = 0;
 const CLASS_FP: u8 = 1;
 const CLASS_LOAD: u8 = 2;
@@ -95,8 +133,8 @@ struct RobEntry {
     /// Index into the program.
     idx: u32,
     /// Source registers, copied from the uop at dispatch ([`NO_REG`] =
-    /// slot unused). The issue stage scans the ROB every cycle; keeping
-    /// the readiness inputs inline makes that scan touch one flat array.
+    /// slot unused), so the issue stage's readiness check reads the ROB
+    /// entry and the scoreboard only.
     srcs: [u8; 2],
     /// [`CLASS_ALU`] .. [`CLASS_BRANCH`].
     class: u8,
@@ -155,20 +193,28 @@ pub struct Core<'p> {
     rob_loads_unissued: usize,
     /// Stores resident in the ROB (incremental, same reason).
     rob_stores: usize,
-    /// ROB entries that have not issued yet (bounds the issue scan).
+    /// ROB entries that have not issued yet.
     rob_unissued: usize,
     /// Bit `p` set ⇔ the ROB entry at position `p` (0 = head) has not
-    /// issued. Issued entries are invisible to the issue scan (skipping
-    /// them has no side effects), so the scan walks set bits only —
-    /// ascending bit order is exactly oldest-first program order.
-    /// Maintained only while `rob_size` fits the mask width (128);
-    /// larger ROBs take the plain linear scan.
+    /// issued. Ascending bit order is oldest-first program order.
     unissued_mask: u128,
-    /// Cycle before which the issue scan is provably barren: the last
-    /// full scan issued nothing, so every unissued entry's sources become
-    /// ready no earlier than this. Issue scans while `now` is below it
+    /// Bit `idx & 127` of `readers[r]` set ⇔ the ROB entry for program
+    /// index `idx` has not issued and reads register `r`. The pad slot
+    /// [`NO_REG`] collects absent sources and is never read. Derived from
+    /// the ROB (see the module docs); not serialized.
+    readers: [u128; NUM_REGS + 1],
+    /// Bit `r` set for every register whose `reg_ready` may lie after
+    /// `now`: a superset, pruned at the start of each issue pass. Derived
+    /// from the scoreboard; not serialized.
+    pending_regs: u64,
+    /// Issue-pass scratch: `reg_ready[r]` as it stood before the pass's
+    /// first write to `r`. Read only for registers written in the pass.
+    pass_start_ready: [u64; NUM_REGS],
+    /// Cycle before which an issue pass is provably barren: the last
+    /// complete pass left every unissued entry waiting on a source that
+    /// becomes ready no earlier than this. Passes while `now` is below it
     /// are skipped outright. `reg_ready` only changes when something
-    /// issues (which resets this to 0), and newly fetched entries merge
+    /// issues (which recomputes this), and newly fetched entries merge
     /// their ready cycle in, so the bound stays exact. 0 = no bound.
     issue_idle_until: u64,
     /// Uops retired since construction (never reset).
@@ -195,6 +241,11 @@ pub struct Core<'p> {
 
 impl<'p> Core<'p> {
     /// Creates a core ready to execute `program` from its first uop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.rob_size` exceeds [`MAX_ROB_SIZE`]
+    /// ([`cdp_types::SystemConfig::validate`] refuses such configurations).
     pub fn new(cfg: CoreConfig, program: &'p Program) -> Self {
         Self::with_feed(cfg, Feed::Whole(program))
     }
@@ -202,11 +253,20 @@ impl<'p> Core<'p> {
     /// Creates a core fed by a streaming uop source instead of a
     /// materialized program. Only a sliding window of uops (the in-flight
     /// span plus one generation chunk) is ever resident.
+    ///
+    /// # Panics
+    ///
+    /// As [`Core::new`].
     pub fn new_streaming(cfg: CoreConfig, source: Box<dyn UopSource>) -> Core<'static> {
         Core::with_feed(cfg, Feed::stream(source))
     }
 
     fn with_feed(cfg: CoreConfig, feed: Feed<'_>) -> Core<'_> {
+        assert!(
+            cfg.rob_size <= MAX_ROB_SIZE,
+            "rob_size {} exceeds the modelled maximum of {MAX_ROB_SIZE}",
+            cfg.rob_size
+        );
         let bp = Gshare::new(cfg.gshare_log2_entries);
         let rob = std::collections::VecDeque::with_capacity(cfg.rob_size + 1);
         let forward_window = std::collections::VecDeque::with_capacity(cfg.store_buffer + 1);
@@ -228,6 +288,9 @@ impl<'p> Core<'p> {
             rob_stores: 0,
             rob_unissued: 0,
             unissued_mask: 0,
+            readers: [0; NUM_REGS + 1],
+            pending_regs: 0,
+            pass_start_ready: [0; NUM_REGS],
             issue_idle_until: 0,
             total_retired: 0,
             stats_base_cycle: 0,
@@ -354,7 +417,7 @@ impl<'p> Core<'p> {
 
     fn next_event_cycle(&self) -> u64 {
         // This only runs after a step in which nothing progressed, so the
-        // issue stage just completed a complete barren scan (or skipped
+        // issue stage just completed a complete barren pass (or skipped
         // under a still-valid bound). With the bound in hand, the
         // earliest cycle anything can happen is O(1):
         //   * retire — the ROB head's completion (in-order retirement);
@@ -363,7 +426,7 @@ impl<'p> Core<'p> {
         //   * fetch  — a load/store-queue entry freeing (heap minima), a
         //     branch redirect resolving, or ROB space freeing (the retire
         //     event above).
-        // A zero bound can only mean the barren scan saw a ready entry
+        // A zero bound can only mean the barren pass saw a ready entry
         // blocked on a zero-sized unit pool (degenerate configuration):
         // fall back to scanning every in-flight completion.
         if self.issue_idle_until == 0 {
@@ -438,11 +501,9 @@ impl<'p> Core<'p> {
             match self.rob.front() {
                 Some(e) if e.complete_at != NOT_ISSUED && e.complete_at <= self.now => {
                     let e = self.rob.pop_front().expect("front exists");
-                    if self.cfg.rob_size <= 128 {
-                        // The popped head had issued, so bit 0 is clear.
-                        debug_assert_eq!(self.unissued_mask & 1, 0);
-                        self.unissued_mask >>= 1;
-                    }
+                    // The popped head had issued, so bit 0 is clear.
+                    debug_assert_eq!(self.unissued_mask & 1, 0);
+                    self.unissued_mask >>= 1;
                     if e.class == CLASS_STORE {
                         self.rob_stores -= 1;
                     }
@@ -461,6 +522,10 @@ impl<'p> Core<'p> {
     }
 
     /// Issue stage. Returns true if anything issued.
+    ///
+    /// Equivalent to a scan of every unissued entry, oldest first, that
+    /// stops once the issue width or every unit pool is used up; it visits
+    /// only entries whose sources can be ready (see the module docs).
     fn issue<M: MemoryModel>(&mut self, mem: &mut M) -> bool {
         // Prune queue-occupancy trackers.
         let now = self.now;
@@ -471,33 +536,13 @@ impl<'p> Core<'p> {
             self.lq_busy.pop();
         }
 
-        // A prior barren scan proved no source becomes ready before
-        // `issue_idle_until`; until then the scan below would examine
-        // every unissued entry and issue nothing.
+        // A prior complete pass proved no source becomes ready before
+        // `issue_idle_until`; until then a pass would issue nothing.
         if now < self.issue_idle_until {
             return false;
         }
 
-        let mut issued = 0;
-        let mut int_used = 0;
-        let mut mem_used = 0;
-        let mut fp_used = 0;
-        let mut any = false;
-        let mut unissued_left = self.rob_unissued;
-        // Idle bound computed over this pass: the earliest cycle any
-        // still-unissued entry can become ready. `min_ready` collects the
-        // readiness of entries seen not-ready; `min_complete` collects the
-        // `reg_ready` writes made by entries issuing in this same pass
-        // (a consumer already visited may become ready no earlier than
-        // its producer completes). The bound is only sound if the scan
-        // visited every unissued entry (`scanned_all`).
-        let mut min_ready = u64::MAX;
-        let mut min_complete = u64::MAX;
-        let mut scanned_all = true;
-        let mut blocked_ready = false;
-        let use_mask = self.cfg.rob_size <= 128;
-
-        // Split borrows so the scan can index the deque's contiguous
+        // Split borrows so the pass can index the deque's contiguous
         // slices directly (per-slot `VecDeque` indexing re-pays the wrap
         // and bounds checks on every entry).
         let Core {
@@ -507,46 +552,56 @@ impl<'p> Core<'p> {
             reg_ready,
             sq_busy: _,
             lq_busy,
-            now,
             stats,
             pending_redirect,
             forward_window,
             rob_loads_unissued,
             rob_unissued,
             unissued_mask,
+            readers,
+            pending_regs,
+            pass_start_ready,
             fetch_resume_at,
             ..
         } = self;
-        let now = *now;
+
+        // Registers still pending at the start of the pass; their unissued
+        // readers cannot be ready now.
+        let mut pending = 0u64;
+        let mut waiting = 0u128;
+        let mut bits = *pending_regs;
+        while bits != 0 {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if reg_ready[r] > now {
+                pending |= 1 << r;
+                waiting |= readers[r];
+            }
+        }
+        let pending_at_start = pending;
+        let head_slot = rob.front().map_or(0, |e| e.idx & 127);
+        let mut candidates = *unissued_mask & !waiting.rotate_right(head_slot);
+
+        let mut issued = 0;
+        let mut int_used = 0;
+        let mut mem_used = 0;
+        let mut fp_used = 0;
+        let mut any = false;
+        // Inputs to the idle bound: completions written by this pass,
+        // the registers it wrote (their pre-pass ready cycles are in
+        // `pass_start_ready`), and the unissued entries younger than a
+        // write to one of their sources.
+        let mut min_complete = u64::MAX;
+        let mut written = 0u64;
+        let mut after_write = 0u128;
+        let mut scanned_all = true;
+        let mut blocked_ready = false;
+        // Positions below `next` have been passed.
+        let mut next = 0usize;
         let (front, back) = rob.as_mut_slices();
         let front_len = front.len();
-        let rob_len = front_len + back.len();
 
-        // Positions to examine: set bits of the unissued mask (ascending
-        // = oldest-first), or every position when the mask is not
-        // maintained. Both orders match the original full scan with its
-        // no-op visits to issued entries removed.
-        let mut mask_iter = *unissued_mask;
-        let mut lin = 0usize;
         loop {
-            let p = if use_mask {
-                if mask_iter == 0 {
-                    break;
-                }
-                let p = mask_iter.trailing_zeros() as usize;
-                mask_iter &= mask_iter - 1;
-                p
-            } else {
-                if lin >= rob_len {
-                    break;
-                }
-                let p = lin;
-                lin += 1;
-                p
-            };
-            if unissued_left == 0 {
-                break;
-            }
             if issued >= cfg.issue_width
                 || (int_used >= cfg.int_units
                     && fp_used >= cfg.fp_units
@@ -554,27 +609,29 @@ impl<'p> Core<'p> {
             {
                 // Unissued entries remain unexamined; any of them could
                 // be ready right now, so no idle bound can be claimed.
-                scanned_all = false;
+                if at_or_after(next) & *unissued_mask != 0 {
+                    scanned_all = false;
+                }
                 break;
             }
+            if candidates == 0 {
+                break;
+            }
+            let p = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            next = p + 1;
             let entry = if p < front_len {
                 &mut front[p]
             } else {
                 &mut back[p - front_len]
             };
-            if entry.complete_at != NOT_ISSUED {
-                debug_assert!(!use_mask, "mask bit set for an issued entry");
-                continue;
-            }
-            unissued_left -= 1;
-            // Source readiness, from the inline copies (absent
-            // sources hit the zero pad slot).
+            debug_assert_eq!(entry.complete_at, NOT_ISSUED, "candidate already issued");
+            // Source readiness as of this visit: an older entry issued in
+            // this pass may have rewritten a source (absent sources hit
+            // the zero pad slot).
             let ready_at =
                 reg_ready[entry.srcs[0] as usize].max(reg_ready[entry.srcs[1] as usize]);
             if ready_at > now {
-                if ready_at < min_ready {
-                    min_ready = ready_at;
-                }
                 continue;
             }
             // Functional unit availability.
@@ -656,16 +713,35 @@ impl<'p> Core<'p> {
             };
             entry.complete_at = complete_at;
             entry.sq_free_at = sq_free_at.unwrap_or(NO_SQ);
-            if use_mask {
-                *unissued_mask &= !(1u128 << p);
-            }
+            *unissued_mask &= !(1u128 << p);
+            let slot = 1u128 << (entry.idx & 127);
+            readers[entry.srcs[0] as usize] &= !slot;
+            readers[entry.srcs[1] as usize] &= !slot;
             *rob_unissued -= 1;
             if entry.class == CLASS_LOAD {
                 *rob_loads_unissued -= 1;
             }
             if let Some(dst) = uop.dst {
-                reg_ready[dst as usize] = complete_at;
+                let r = dst as usize;
+                let bit = 1u64 << r;
+                if written & bit == 0 {
+                    written |= bit;
+                    pass_start_ready[r] = reg_ready[r];
+                }
+                reg_ready[r] = complete_at;
                 min_complete = min_complete.min(complete_at);
+                let younger = readers[r].rotate_right(head_slot) & after(p);
+                after_write |= younger;
+                if complete_at > now {
+                    // Younger readers now wait on this write.
+                    pending |= bit;
+                    candidates &= !younger;
+                } else if pending & bit != 0 {
+                    // Ready this cycle: readers skipped for this register
+                    // may issue in this very pass.
+                    pending &= !bit;
+                    candidates |= younger;
+                }
             }
             // Branch redirect: if this branch was fetched mispredicted,
             // fetch resumes after it resolves plus the penalty.
@@ -676,16 +752,26 @@ impl<'p> Core<'p> {
                 *fetch_resume_at = resume_at;
             }
         }
-        // Complete scan: every unissued entry was examined, so the
-        // earliest future readiness (including readiness unlocked by this
-        // pass's own `reg_ready` writes, bounded below by the writers'
-        // completions) bounds every scan until then. A ready-but-unit-
-        // blocked entry stays ready next cycle, and an early break leaves
-        // entries unexamined — either forfeits the bound.
+        *pending_regs = pending;
+        // A ready-but-unit-blocked entry stays ready next cycle, and an
+        // early break leaves entries unexamined: either forfeits the bound.
         self.issue_idle_until = if blocked_ready || !scanned_all {
             0
         } else {
-            min_ready.min(min_complete)
+            // Every entry still waiting was visited (or skipped as not
+            // ready). Entries younger than a write to one of their sources
+            // became ready no earlier than that write's completion, which
+            // `min_complete` covers; every other one saw the scoreboard as
+            // it stood when the pass began.
+            let start_ready = |r: usize| {
+                if written >> r & 1 != 0 {
+                    self.pass_start_ready[r]
+                } else {
+                    self.reg_ready[r]
+                }
+            };
+            let waiting = (self.unissued_mask & !after_write).rotate_left(head_slot);
+            earliest_ready(waiting, pending_at_start, &self.readers, start_ready, min_complete)
         };
         any
     }
@@ -755,9 +841,9 @@ impl<'p> Core<'p> {
             };
             // Keep the idle bound exact: a dispatched entry may be ready
             // earlier than everything already waiting. `reg_ready` only
-            // changes inside issue scans and the bound is recomputed at
+            // changes inside issue passes and the bound is recomputed at
             // the end of each, so the ready cycle computed here is the
-            // one the next scan would compute.
+            // one the next pass would see.
             if self.issue_idle_until != 0 {
                 let ready_at = self.reg_ready[entry.srcs[0] as usize]
                     .max(self.reg_ready[entry.srcs[1] as usize]);
@@ -774,25 +860,28 @@ impl<'p> Core<'p> {
                 if predicted != taken {
                     self.stats.mispredicts += 1;
                     self.pending_redirect = Some(self.fetch_idx);
-                    self.rob.push_back(entry);
-                    if self.cfg.rob_size <= 128 {
-                        self.unissued_mask |= 1u128 << (self.rob.len() - 1);
-                    }
-                    self.fetch_idx += 1;
+                    self.dispatch(entry);
                     // Stop fetching: the front end is on the wrong path
                     // until this branch resolves.
                     self.fetch_resume_at = u64::MAX;
                     return true;
                 }
             }
-            self.rob.push_back(entry);
-            if self.cfg.rob_size <= 128 {
-                self.unissued_mask |= 1u128 << (self.rob.len() - 1);
-            }
-            self.fetch_idx += 1;
+            self.dispatch(entry);
             any = true;
         }
         any
+    }
+
+    /// Appends a fetched entry to the ROB as unissued and registers it as
+    /// a reader of its sources.
+    fn dispatch(&mut self, entry: RobEntry) {
+        self.rob.push_back(entry);
+        self.unissued_mask |= 1u128 << (self.rob.len() - 1);
+        let slot = 1u128 << (entry.idx & 127);
+        self.readers[entry.srcs[0] as usize] |= slot;
+        self.readers[entry.srcs[1] as usize] |= slot;
+        self.fetch_idx += 1;
     }
 
     /// Serializes the complete pipeline state: ROB (in order), register
@@ -868,7 +957,8 @@ impl<'p> Core<'p> {
     ///
     /// Returns a typed [`cdp_types::SnapshotError`] on truncation or on
     /// structurally impossible state (ROB deeper than `rob_size`, a uop
-    /// index past the program end, an unknown uop class).
+    /// index past the program end, ROB indices out of program order, an
+    /// unknown uop class, an unissued mask that disagrees with the ROB).
     pub fn restore_state(
         &mut self,
         dec: &mut cdp_snap::Dec<'_>,
@@ -1000,8 +1090,105 @@ impl<'p> Core<'p> {
                 });
             }
         }
+        self.rebuild_wakeup()
+    }
+
+    /// Rebuilds the issue stage's derived state (`readers`,
+    /// `pending_regs`) from the restored ROB and scoreboard, checking the
+    /// serialized `unissued_mask` and the ROB's index order on the way.
+    fn rebuild_wakeup(&mut self) -> Result<(), cdp_types::SnapshotError> {
+        use cdp_types::SnapshotError;
+        self.readers = [0; NUM_REGS + 1];
+        let mut unissued = 0u128;
+        let head = self.rob.front().map_or(0, |e| e.idx);
+        for (p, e) in self.rob.iter().enumerate() {
+            if e.idx.wrapping_sub(head) as usize != p {
+                return Err(SnapshotError::Corrupt {
+                    context: "core rob idx order",
+                });
+            }
+            if e.complete_at == NOT_ISSUED {
+                unissued |= 1 << p;
+                let slot = 1u128 << (e.idx & 127);
+                self.readers[e.srcs[0] as usize] |= slot;
+                self.readers[e.srcs[1] as usize] |= slot;
+            }
+        }
+        if unissued != self.unissued_mask {
+            return Err(SnapshotError::Corrupt {
+                context: "core unissued_mask",
+            });
+        }
+        self.pending_regs = (0..NUM_REGS)
+            .filter(|&r| self.reg_ready[r] > self.now)
+            .fold(0, |m, r| m | 1 << r);
         Ok(())
     }
+}
+
+/// ROB positions strictly after `p`.
+#[inline]
+fn after(p: usize) -> u128 {
+    at_or_after(p + 1)
+}
+
+/// ROB positions `p` and later.
+#[inline]
+fn at_or_after(p: usize) -> u128 {
+    u128::MAX.checked_shl(p as u32).unwrap_or(0)
+}
+
+/// The earliest cycle any entry of `waiting` (a slot mask) becomes ready,
+/// capped at `cap`: the minimum over those entries of their latest
+/// source's `ready(r)`. Every entry must read at least one register of
+/// `pending`, and every register it reads outside `pending` must already
+/// be ready.
+///
+/// Walks the pending registers in ascending ready order. Once the
+/// registers at or below cycle `v` are set aside, an entry that reads none
+/// of the remaining ones is ready at exactly `v`.
+fn earliest_ready(
+    waiting: u128,
+    pending: u64,
+    readers: &[u128; NUM_REGS + 1],
+    ready: impl Fn(usize) -> u64,
+    cap: u64,
+) -> u64 {
+    if waiting == 0 {
+        return cap;
+    }
+    let mut rest = pending;
+    while rest != 0 {
+        let mut v = u64::MAX;
+        let mut group = 0u64;
+        let mut bits = rest;
+        while bits != 0 {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let at = ready(r);
+            if at < v {
+                v = at;
+                group = 1 << r;
+            } else if at == v {
+                group |= 1 << r;
+            }
+        }
+        if v >= cap {
+            break;
+        }
+        rest &= !group;
+        let mut later = 0u128;
+        let mut bits = rest;
+        while bits != 0 {
+            let r = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            later |= readers[r];
+        }
+        if waiting & !later != 0 {
+            return v;
+        }
+    }
+    cap
 }
 
 impl CoreStats {
@@ -1039,6 +1226,9 @@ impl CoreStats {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {

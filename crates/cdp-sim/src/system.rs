@@ -1,5 +1,7 @@
 //! The assembled system: core + hierarchy, with run-level statistics.
 
+use std::sync::OnceLock;
+
 use cdp_core::{Core, CoreStats};
 use cdp_mem::BusStats;
 use cdp_obs::TraceRing;
@@ -267,13 +269,20 @@ impl Simulator {
     /// workload's content fingerprint — so a snapshot can only be resumed
     /// against a bit-identical setup.
     pub fn snapshot_fingerprint(&self, workload: &Workload, obs: Option<&ObsConfig>) -> u64 {
+        let mut h = self.setup_hash(obs);
+        h.write_u64(workload.fingerprint());
+        h.finish()
+    }
+
+    /// The part of [`Simulator::snapshot_fingerprint`] that does not
+    /// depend on the workload.
+    fn setup_hash(&self, obs: Option<&ObsConfig>) -> cdp_snap::Fnv1a {
         let mut h = cdp_snap::Fnv1a::new();
         h.write(format!("{:?}", self.cfg).as_bytes());
         h.write(format!("{:?}", self.pollution).as_bytes());
         h.write(format!("{:?}", self.walk_fault).as_bytes());
         h.write(format!("{:?}", obs).as_bytes());
-        h.write_u64(workload.fingerprint());
-        h.finish()
+        h
     }
 
     /// Starts a pausable run: the windowed driving loop every run path
@@ -313,7 +322,9 @@ impl Simulator {
             warmup_uops: self.cfg.warmup_uops,
             window,
             record_windows: metrics_window.is_some(),
-            fingerprint: self.snapshot_fingerprint(workload, obs),
+            workload,
+            setup_hash: self.setup_hash(obs),
+            fingerprint: OnceLock::new(),
             target: 0,
             warmed: false,
             done: false,
@@ -373,7 +384,13 @@ pub struct SimSession<'w> {
     warmup_uops: u64,
     window: u64,
     record_windows: bool,
-    fingerprint: u64,
+    workload: &'w Workload,
+    /// [`Simulator::snapshot_fingerprint`] before the workload is folded
+    /// in. Only snapshots read the fingerprint, and hashing a workload
+    /// walks its whole program or image, so that part waits for
+    /// [`SimSession::fingerprint`].
+    setup_hash: cdp_snap::Fnv1a,
+    fingerprint: OnceLock<u64>,
     target: u64,
     warmed: bool,
     done: bool,
@@ -451,6 +468,16 @@ impl<'w> SimSession<'w> {
         self.core.stats().retired
     }
 
+    /// The snapshot header fingerprint ([`Simulator::snapshot_fingerprint`]),
+    /// computed on first use.
+    fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = self.setup_hash;
+            h.write_u64(self.workload.fingerprint());
+            h.finish()
+        })
+    }
+
     /// Serializes the complete session — core, hierarchy, driver-loop
     /// scalars, and the metrics accumulator — into a self-describing
     /// snapshot (magic, version, fingerprint, per-section checksums).
@@ -463,7 +490,7 @@ impl<'w> SimSession<'w> {
     /// recycle one allocation across every snapshot it writes. Output
     /// bytes are identical to [`SimSession::snapshot`].
     pub fn snapshot_into(&self, buf: Vec<u8>) -> Vec<u8> {
-        let mut w = cdp_snap::SnapWriter::new_in(self.fingerprint, buf);
+        let mut w = cdp_snap::SnapWriter::new_in(self.fingerprint(), buf);
         w.section(SEC_RUN, |e| {
             e.u64(self.target);
             e.bool(self.warmed);
@@ -488,7 +515,7 @@ impl<'w> SimSession<'w> {
     /// Restores a snapshot into this freshly constructed session.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), cdp_types::SnapshotError> {
         use cdp_types::SnapshotError;
-        let reader = cdp_snap::SnapReader::parse(bytes, Some(self.fingerprint))?;
+        let reader = cdp_snap::SnapReader::parse(bytes, Some(self.fingerprint()))?;
         let mut dec = reader.section(SEC_RUN)?;
         self.target = dec.u64("run target")?;
         self.warmed = dec.bool("run warmed")?;
@@ -843,6 +870,10 @@ mod tests {
         let mut session = sim.session(&w, None);
         session.step().unwrap();
         let bytes = session.snapshot();
+        // The session computes its fingerprint on first use; the header
+        // carries exactly the simulator's.
+        cdp_snap::SnapReader::parse(&bytes, Some(sim.snapshot_fingerprint(&w, None)))
+            .expect("header fingerprint is the simulator's");
 
         // Different workload seed → different fingerprint.
         let other = Benchmark::Slsb.build(Scale::smoke(), 32);

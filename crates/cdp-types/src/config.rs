@@ -7,6 +7,11 @@
 
 use core::fmt;
 
+/// The largest reorder buffer the core models. The issue stage keeps one
+/// bit per ROB entry in `u128` masks, and Table 1's ROB is exactly this
+/// size.
+pub const MAX_ROB_SIZE: usize = 128;
+
 /// Parameters of the out-of-order core (Table 1, "Processor" block).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -18,7 +23,7 @@ pub struct CoreConfig {
     pub retire_width: usize,
     /// Branch misprediction penalty in cycles (Table 1: 28).
     pub mispredict_penalty: u64,
-    /// Reorder buffer entries (Table 1: 128).
+    /// Reorder buffer entries (Table 1: 128; at most [`MAX_ROB_SIZE`]).
     pub rob_size: usize,
     /// Store buffer entries (Table 1: 32).
     pub store_buffer: usize,

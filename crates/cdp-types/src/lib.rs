@@ -37,7 +37,7 @@ pub use config::{
     AdaptiveConfig, ArbiterConfig, BusConfig, CacheConfig, ContentConfig, CoreConfig, DeltaConfig,
     DeltaKeySpace, JumpConfig, MarkovConfig, ObsConfig, PerceptronConfig, PrefetchersConfig,
     ReplacementPolicy, StreamConfig, StrideConfig, SystemConfig, TlbConfig, TraceConfig,
-    TraceFilter, VamConfig, PERCEPTRON_FEATURES,
+    TraceFilter, VamConfig, MAX_ROB_SIZE, PERCEPTRON_FEATURES,
 };
 pub use request::{AccessKind, EngineId, Priority, RequestKind, MAX_REQUEST_DEPTH};
 pub use validate::ConfigError;

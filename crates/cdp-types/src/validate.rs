@@ -7,7 +7,7 @@
 
 use core::fmt;
 
-use crate::{CacheConfig, SystemConfig};
+use crate::{CacheConfig, SystemConfig, MAX_ROB_SIZE};
 
 /// A structural problem in a [`SystemConfig`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,6 +49,15 @@ pub enum ConfigError {
     ZeroCoreResource {
         /// Which resource.
         what: &'static str,
+    },
+    /// A core resource exceeds the largest size the core models.
+    CoreResourceTooLarge {
+        /// Which resource.
+        what: &'static str,
+        /// The configured size.
+        value: usize,
+        /// The largest size accepted.
+        max: usize,
     },
     /// A queue capacity is zero.
     ZeroQueue {
@@ -98,6 +107,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::ZeroCoreResource { what } => {
                 write!(f, "core resource '{what}' must be nonzero")
+            }
+            ConfigError::CoreResourceTooLarge { what, value, max } => {
+                write!(f, "core resource '{what}' is {value}, above the maximum of {max}")
             }
             ConfigError::ZeroQueue { what } => write!(f, "queue '{what}' must hold at least one entry"),
             ConfigError::StrideEntriesNotPowerOfTwo { entries } => {
@@ -170,6 +182,13 @@ impl SystemConfig {
             if v == 0 {
                 return Err(ConfigError::ZeroCoreResource { what });
             }
+        }
+        if self.core.rob_size > MAX_ROB_SIZE {
+            return Err(ConfigError::CoreResourceTooLarge {
+                what: "rob_size",
+                value: self.core.rob_size,
+                max: MAX_ROB_SIZE,
+            });
         }
         if self.bus.queue_size == 0 {
             return Err(ConfigError::ZeroQueue { what: "bus" });
@@ -280,6 +299,24 @@ mod tests {
                 what: "issue_width"
             })
         ));
+    }
+
+    #[test]
+    fn rob_above_the_mask_width_is_refused() {
+        let mut cfg = SystemConfig::asplos2002();
+        cfg.core.rob_size = MAX_ROB_SIZE;
+        assert!(cfg.validate().is_ok());
+        cfg.core.rob_size = MAX_ROB_SIZE + 1;
+        let e = cfg.validate().unwrap_err();
+        assert_eq!(
+            e,
+            ConfigError::CoreResourceTooLarge {
+                what: "rob_size",
+                value: 129,
+                max: 128,
+            }
+        );
+        assert!(e.to_string().contains("rob_size"), "{e}");
     }
 
     #[test]

@@ -102,6 +102,15 @@ cmp /tmp/cdp-ff-on.out /tmp/cdp-ff-off.out || {
     echo "fast-forward smoke: stdout differs with --no-fast-forward" >&2
     exit 1
 }
+# The same pair on the streaming engine, whose core reads uops from a
+# sliding window instead of the materialized program.
+./target/release/experiments tlb fig2 --smoke --stream --jobs 2 > /tmp/cdp-ff-stream-on.out
+./target/release/experiments tlb fig2 --smoke --stream --jobs 2 --no-fast-forward \
+    > /tmp/cdp-ff-stream-off.out
+cmp /tmp/cdp-ff-stream-on.out /tmp/cdp-ff-stream-off.out || {
+    echo "fast-forward smoke: streamed stdout differs with --no-fast-forward" >&2
+    exit 1
+}
 
 echo "== bench smoke (statistical harness + self-comparison) =="
 # A short bench.sh run must produce a schema-v2 snapshot that validates,
